@@ -10,7 +10,7 @@ as a logic-analyzer-style waveform via :mod:`repro.obs`.
 Run:  python examples/futurebus_waveforms.py
 """
 
-from repro import Session
+from repro import Session, plan
 from repro.analysis import (
     figure1_broadcast_handshake,
     figure2_parallel_protocol,
@@ -52,10 +52,11 @@ def main() -> None:
     # Now watch those lines on a live bus: two MOESI caches ping-pong a
     # shared line while the session's tracer records every transaction.
     session = Session(label="waveforms", trace=True)
-    session.run_experiment(
+    session.execute(plan(
+        "experiment",
         protocol="moesi",
         workload=ping_pong(rounds=4, processors=2),
-    )
+    ))
     print(render_waveforms(
         session.tracer.export(),
         "Consistency lines during a 2-CPU MOESI ping-pong "

@@ -14,15 +14,9 @@ choice on small systems, for:
 Run:  python examples/model_check_compatibility.py
 """
 
+from repro import execute, plan
 from repro.analysis import format_rows
-from repro.verify import (
-    class_member_mixes,
-    explore,
-    homogeneous_foreign,
-    incompatible_mixes,
-    mutant_mixes,
-    run_matrix,
-)
+from repro.verify import explore
 
 
 def main() -> None:
@@ -32,13 +26,9 @@ def main() -> None:
     print(" ", result.summary())
     print()
 
-    cases = (
-        class_member_mixes()
-        + homogeneous_foreign()
-        + incompatible_mixes()
-        + mutant_mixes()
-    )
-    rows = run_matrix(cases)
+    # Every suite: class members, homogeneous foreign, incompatible
+    # mixes and mutants.
+    rows = execute(plan("verify")).rows
     print(
         format_rows(
             rows,

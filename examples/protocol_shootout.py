@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Protocol shootout: the [Arch85]-style comparison behind the paper's
-"preferred" choices (section 5.2), through the :mod:`repro.api` facade.
+"preferred" choices (section 5.2), through the :mod:`repro.api` verbs.
 
 Runs every implemented protocol over the same synthetic shared-memory
 workload on the timed Futurebus simulator and prints the comparison
@@ -11,7 +11,7 @@ stream in the exported timeline.
 Run:  python examples/protocol_shootout.py
 """
 
-from repro import Session
+from repro import Session, plan
 from repro.analysis import (
     format_rows,
     update_vs_invalidate_sweep,
@@ -23,7 +23,7 @@ def main() -> None:
     session = Session(label="shootout", trace=True)
     print(
         format_rows(
-            session.shootout(references=4000),
+            session.execute(plan("shootout", references=4000)),
             "Protocol comparison -- 4 CPUs, p_shared=0.3, p_write=0.3, "
             "4000 references, timed Futurebus run",
         )

@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Quickstart: run a small mixed-protocol multiprocessor through the
-:mod:`repro.api` facade, inspect coherence and traffic, and export a
-structured trace viewable in Perfetto.
+:mod:`repro.api` verbs (``plan`` then ``execute``), inspect coherence
+and traffic, and export a structured trace viewable in Perfetto.
 
 Run:  python examples/quickstart.py
 """
 
-from repro import Session
+from repro import Session, plan
 from repro.workloads import ping_pong
 
 
@@ -17,12 +17,15 @@ def main() -> None:
 
     # Three boards on one Futurebus, each running a *different* protocol
     # from the MOESI class -- the paper's headline capability.  Two
-    # processors ping-pong a shared line; the third watches.
-    result = session.run_experiment(
+    # processors ping-pong a shared line; the third watches.  ``plan``
+    # builds a frozen, hashable spec; the session executes it.
+    spec = plan(
+        "experiment",
         protocols=["moesi", "dragon", "write-through"],
         workload=ping_pong(rounds=50, processors=3),
         label="quickstart",
     )
+    result = session.execute(spec)
 
     # Every read was checked against the last write at run time; the
     # result carries a final whole-memory invariant sweep.

@@ -2,14 +2,16 @@
 Cache Consistency Protocols and their Support by the IEEE Futurebus"
 (ISCA 1986) -- the paper that defined MOESI.
 
-Quickstart (the :mod:`repro.api` facade)::
+Quickstart (the :mod:`repro.api` verbs)::
 
-    from repro import Session
+    from repro import Session, plan
 
     session = Session(trace=True)
-    result = session.run_experiment(protocol="illinois", references=500)
+    result = session.execute(
+        plan("experiment", protocol="illinois", references=500)
+    )
     assert result.ok
-    result.write_trace("out.trace.json")   # Chrome/Perfetto format
+    session.write_trace("out.trace.json")   # Chrome/Perfetto format
 
 or, building the system by hand::
 
@@ -50,9 +52,9 @@ Packages:
   open problem, built; they compose to arbitrary depth);
 * :mod:`repro.obs` -- observability: structured tracing, the metrics
   registry, Chrome-trace/JSONL exporters, profiling;
-* :mod:`repro.api` -- the unified facade: the :func:`plan` /
-  :func:`execute` verbs over frozen :mod:`repro.specs` values, plus
-  :class:`Session` and the legacy wrappers with typed results;
+* :mod:`repro.api` -- the front door: the :func:`plan` /
+  :func:`execute` verbs over frozen :mod:`repro.specs` values, the
+  :class:`Session` observability context, and typed results;
 * :mod:`repro.serve` -- the long-lived asyncio service tier multiplexing
   spec executions onto the warm pool with content-hash memoization.
 """
@@ -62,12 +64,8 @@ from repro.api import (
     FuzzResult,
     Session,
     VerifyResult,
-    batch_sweep,
     execute,
-    explore,
-    fuzz_campaign,
     plan,
-    run_experiment,
 )
 from repro.specs import (
     BatchSpec,
@@ -83,6 +81,7 @@ from repro.hierarchy.system import ClusterSpec, HierarchicalSystem
 from repro.core.validation import check_membership
 from repro.protocols.registry import make_protocol, protocol_names
 from repro.system.system import BoardSpec, CoherenceError, System
+from repro.verify.explorer import explore
 
 __version__ = "1.1.0"
 
@@ -102,10 +101,7 @@ __all__ = [
     "FuzzResult",
     "plan",
     "execute",
-    "run_experiment",
     "explore",
-    "fuzz_campaign",
-    "batch_sweep",
     "ExperimentSpec",
     "VerifySpec",
     "FuzzSpec",

@@ -24,15 +24,10 @@ Quickstart::
     assert result.ok
     assert execute(spec).report.to_json() == result.report.to_json()
 
-A :class:`Session` still owns one :class:`~repro.obs.trace.Tracer` and
-one :class:`~repro.obs.profile.Profiler` and threads them through every
-layer; its ``run_experiment``/``verify``/``fuzz_campaign``/``shootout``
-methods are thin plan-then-execute wrappers (supported, not deprecated)
-so ``execute(plan(...))`` is byte-identical to the legacy calls.  The
-old keyword sprawl -- board geometry kwargs passed straight through
-``run_experiment(**board_kwargs)`` -- still works but warns once per
-process via :mod:`repro.deprecation`; pass
-``geometry=GeometrySpec(...)`` instead.
+A :class:`Session` owns one :class:`~repro.obs.trace.Tracer` and one
+:class:`~repro.obs.profile.Profiler` and threads them through every
+layer; ``Session(trace=True).execute(spec)`` merges several runs into
+one trace.
 """
 
 from __future__ import annotations
@@ -72,20 +67,9 @@ __all__ = [
     "plan",
     "execute",
     "execute_many",
-    "run_experiment",
-    "explore",
-    "fuzz_campaign",
-    "batch_sweep",
     "shutdown_pool",
     "warm_pool",
 ]
-
-#: The BoardSpec keywords the legacy ``run_experiment(**board_kwargs)``
-#: path accepted; anything else was (and is) a TypeError.
-_BOARD_KEYWORDS = frozenset(
-    ("num_sets", "associativity", "line_size", "replacement")
-)
-
 
 def _write_events(
     events: list, path: Union[str, Path], fmt: str, label: str
@@ -199,35 +183,7 @@ class FuzzResult:
 # ----------------------------------------------------------------------
 # plan(...): kwargs -> frozen spec.
 # ----------------------------------------------------------------------
-def _geometry_from_board_kwargs(
-    geometry: Optional[GeometrySpec], board_kwargs: dict
-) -> GeometrySpec:
-    """The legacy keyword path: loose BoardSpec kwargs -> GeometrySpec.
-
-    Warns once per process per keyword set; ``geometry=GeometrySpec(...)``
-    is the supported spelling."""
-    unknown = sorted(set(board_kwargs) - _BOARD_KEYWORDS)
-    if unknown:
-        raise TypeError(
-            f"unknown board keyword(s) {', '.join(unknown)}; "
-            f"known: {', '.join(sorted(_BOARD_KEYWORDS))}"
-        )
-    from repro.deprecation import warn_legacy_keywords
-
-    warn_legacy_keywords(
-        "run_experiment", board_kwargs, "geometry=GeometrySpec(...)"
-    )
-    return dataclasses.replace(geometry or GeometrySpec(), **board_kwargs)
-
-
-#: Stand-in workload for the legacy facade path: when a caller hands
-#: ``Session.run_experiment`` an already-built Trace, the trace goes to
-#: execution directly and the ephemeral spec carries this empty literal
-#: instead of paying the O(references) record embed.
-_ELIDED_WORKLOAD = WorkloadSpec(source="literal", records=())
-
-
-def plan_experiment(
+def _experiment_spec(
     protocol: str = "moesi",
     protocols: Optional[Sequence[str]] = None,
     workload: Optional[Union[Trace, WorkloadSpec]] = None,
@@ -243,14 +199,17 @@ def plan_experiment(
     geometry: Optional[GeometrySpec] = None,
     trace: bool = False,
     metrics: bool = True,
-    **board_kwargs,
 ) -> ExperimentSpec:
     """Plan one system run.  ``workload`` may be a literal
     :class:`~repro.workloads.trace.Trace` (embedded record-for-record), a
     :class:`~repro.specs.WorkloadSpec`, or ``None`` for the synthetic
-    recipe ``(processors, references, seed, p_shared, p_write)``."""
-    if board_kwargs:
-        geometry = _geometry_from_board_kwargs(geometry, board_kwargs)
+    recipe ``(processors, references, seed, p_shared, p_write)``.
+
+    ``protocols`` gives each board its own protocol (the paper's
+    mixed-backplane capability); otherwise every board runs
+    ``protocol``.  ``discipline`` selects a bus arbitration service
+    discipline (``"fcfs"``, ``"priority[:m=p,...]"``, ``"round-robin"``)
+    and implies a timed, arbitrated run."""
     if workload is None:
         workload_spec = WorkloadSpec(
             processors=processors,
@@ -277,7 +236,7 @@ def plan_experiment(
     )
 
 
-def plan_verify(
+def _verify_spec(
     suites: Optional[Sequence[str]] = None,
     trace: bool = False,
     metrics: bool = True,
@@ -288,9 +247,8 @@ def plan_verify(
     return VerifySpec(trace=trace, metrics=metrics, **kwargs)
 
 
-def plan_fuzz(
-    config=None,
-    seeds: Optional[int] = None,
+def _fuzz_spec(
+    seeds: int = 200,
     seed_base: int = 0,
     scenario=None,
     shrink: bool = True,
@@ -298,25 +256,11 @@ def plan_fuzz(
     trace: bool = False,
     metrics: bool = True,
 ) -> FuzzSpec:
-    """Plan a fuzz campaign.  ``config`` (a
-    :class:`~repro.fuzz.campaign.CampaignConfig`) is the legacy bundle
-    and excludes every other campaign knob; ``scenario_json`` (a
-    canonical :meth:`Scenario.canonical` string) plans a single-scenario
-    replay instead of a seeded campaign."""
-    if config is not None:
-        if seeds is not None:
-            raise ValueError("pass either config or seeds, not both")
-        return FuzzSpec(
-            seeds=config.seeds,
-            seed_base=config.seed_base,
-            scenario=config.scenario,
-            shrink=config.shrink,
-            scenario_json=scenario_json,
-            trace=trace,
-            metrics=metrics,
-        )
+    """Plan a fuzz campaign; ``scenario_json`` (a canonical
+    :meth:`Scenario.canonical` string) plans a single-scenario replay
+    instead of a seeded campaign."""
     return FuzzSpec(
-        seeds=200 if seeds is None else seeds,
+        seeds=seeds,
         seed_base=seed_base,
         scenario=scenario,
         shrink=shrink,
@@ -326,7 +270,7 @@ def plan_fuzz(
     )
 
 
-def plan_shootout(
+def _shootout_spec(
     workload: Optional[Union[Trace, WorkloadSpec]] = None,
     protocols: Optional[Sequence[str]] = None,
     references: int = 4000,
@@ -353,7 +297,7 @@ def plan_shootout(
     )
 
 
-def plan_batch(
+def _batch_spec(
     protocols: Optional[Sequence[str]] = None,
     rows: int = 64,
     events_per_row: int = 100,
@@ -380,17 +324,35 @@ def plan_batch(
 
 
 _PLANNERS = {
-    "experiment": plan_experiment,
-    "verify": plan_verify,
-    "fuzz": plan_fuzz,
-    "shootout": plan_shootout,
-    "batch": plan_batch,
+    "experiment": _experiment_spec,
+    "verify": _verify_spec,
+    "fuzz": _fuzz_spec,
+    "shootout": _shootout_spec,
+    "batch": _batch_spec,
 }
 
 
 def plan(kind: str = "experiment", **kwargs):
-    """Build a frozen spec for ``kind`` (``experiment``, ``verify``,
-    ``fuzz``, ``shootout``, ``batch``); the first of the two verbs."""
+    """Build a frozen spec for ``kind``; the first of the two verbs.
+
+    ==============  ====================================================
+    ``experiment``  ``protocol`` or per-board ``protocols``;
+                    ``workload`` (a Trace, a WorkloadSpec, or ``None``
+                    for the synthetic recipe ``processors``,
+                    ``references``, ``seed``, ``p_shared``,
+                    ``p_write``); ``geometry``, ``timed``, ``check``,
+                    ``discipline``, ``label``
+    ``verify``      ``suites`` (names in repro.verify.mixes.SUITES)
+    ``fuzz``        ``seeds``, ``seed_base``, ``scenario``, ``shrink``,
+                    ``scenario_json``
+    ``shootout``    ``protocols``, ``references``, ``seed``, ``timed``,
+                    ``workload``
+    ``batch``       ``protocols``, ``rows``, ``events_per_row``,
+                    ``seed``, ``n_units``, ``geometry``
+    ==============  ====================================================
+
+    Every kind takes ``metrics``, and all but ``batch`` take ``trace``.
+    """
     planner = _PLANNERS.get(kind)
     if planner is None:
         known = ", ".join(sorted(_PLANNERS))
@@ -415,11 +377,6 @@ class Session:
     Both default off, preserving the zero-overhead discipline.  Results
     returned by a session share the session's tracer stream, so one
     session tracing several runs yields one merged timeline.
-
-    :meth:`execute` is the session-level second verb; the named methods
-    below (``run_experiment``, ``verify``, ...) plan a spec from their
-    keyword arguments and execute it, so both spellings take exactly the
-    same code path and produce byte-identical results.
     """
 
     def __init__(
@@ -453,11 +410,12 @@ class Session:
 
         ``spec`` may be a spec object, its ``to_dict()`` payload, or its
         canonical string.  ``workers``/``out_dir``/``backend``/``timing``
-        are execution details: they select *how* the answer is computed
-        (and where artifacts land) without entering the spec's content
-        hash.  Tracing follows the session, not ``spec.trace`` -- the
-        module-level :func:`execute` honours the flag by building the
-        session from it.
+        (and a fuzz campaign's ``shards``, which selects the
+        range-partitioned driver) are execution details: they select
+        *how* the answer is computed (and where artifacts land) without
+        entering the spec's content hash.  Tracing follows the session,
+        not ``spec.trace`` -- the module-level :func:`execute` honours
+        the flag by building the session from it.
         """
         spec = _coerce_spec(spec)
         if isinstance(spec, ExperimentSpec):
@@ -466,7 +424,7 @@ class Session:
             return self._execute_verify(spec, workers=workers, **kwargs)
         if isinstance(spec, FuzzSpec):
             return self._execute_fuzz(
-                spec, workers=workers or 0, out_dir=out_dir
+                spec, workers=workers or 0, out_dir=out_dir, **kwargs
             )
         if isinstance(spec, ShootoutSpec):
             return self._execute_shootout(spec, workers=workers, **kwargs)
@@ -481,13 +439,9 @@ class Session:
 
     # ------------------------------------------------------------------
     def _execute_experiment(
-        self, spec: ExperimentSpec, timing=None, workload: Optional[Trace] = None
+        self, spec: ExperimentSpec, timing=None
     ) -> ExperimentResult:
-        # The legacy wrapper passes its already-built Trace so the facade
-        # does not pay a rebuild; spec.workload.build() yields the same
-        # records, so both paths drive the System identically.
-        if workload is None:
-            workload = spec.workload.build()
+        workload = spec.workload.build()
         units = workload.units()
         names = (
             list(spec.protocols)
@@ -598,7 +552,7 @@ class Session:
             )
         from repro.fuzz.campaign import (
             CampaignConfig,
-            _run_campaign,
+            run_campaign,
             run_sharded_campaign,
         )
 
@@ -618,7 +572,7 @@ class Session:
                 tracer=self.tracer,
             )
         else:
-            report = _run_campaign(
+            report = run_campaign(
                 config,
                 workers=workers,
                 out_dir=out_dir,
@@ -635,15 +589,14 @@ class Session:
         self,
         spec: ShootoutSpec,
         workers: Optional[int] = None,
-        workload: Optional[Trace] = None,
         **kwargs,
     ) -> list:
         from repro.analysis.compare import protocol_comparison
 
-        if workload is None and spec.workload is not None:
-            workload = spec.workload.build()
         return protocol_comparison(
-            trace=workload,
+            trace=(
+                spec.workload.build() if spec.workload is not None else None
+            ),
             protocols=spec.protocols,
             references=spec.references,
             seed=spec.seed,
@@ -673,188 +626,6 @@ class Session:
             backend=backend,
             workers=workers,
             **kwargs,
-        )
-
-    # ------------------------------------------------------------------
-    # Thin plan-then-execute wrappers (the pre-split entry points).
-    # ------------------------------------------------------------------
-    def run_experiment(
-        self,
-        protocol: str = "moesi",
-        protocols: Optional[Sequence[str]] = None,
-        workload: Optional[Trace] = None,
-        processors: int = 4,
-        references: int = 2000,
-        seed: int = 7,
-        timed: bool = False,
-        timing=None,
-        check: bool = True,
-        label: Optional[str] = None,
-        discipline: Optional[str] = None,
-        geometry: Optional[GeometrySpec] = None,
-        **board_kwargs,
-    ) -> ExperimentResult:
-        """Run one system over one workload and return a typed result.
-
-        ``protocols`` gives each board its own protocol (the paper's
-        mixed-backplane capability); otherwise every board runs
-        ``protocol``.  Without an explicit ``workload`` a synthetic
-        shared-memory trace is generated from ``(processors, seed)``.
-        ``discipline`` selects a bus arbitration service discipline
-        (``"fcfs"``, ``"priority[:m=p,...]"``, ``"round-robin"``) and
-        implies a timed, arbitrated run.
-
-        Plans an :class:`~repro.specs.ExperimentSpec` and executes it;
-        loose board-geometry kwargs (``num_sets=...``) still work but
-        warn once -- pass ``geometry=GeometrySpec(...)``.
-        """
-        # An explicit Trace is threaded straight to execution instead of
-        # being embedded in the (ephemeral, never hashed) spec: record
-        # embedding is O(references) and would tax every facade call.
-        # plan_experiment() embeds for real when a hashable spec matters.
-        direct = workload is not None and not isinstance(
-            workload, WorkloadSpec
-        )
-        spec = plan_experiment(
-            protocol=protocol,
-            protocols=protocols,
-            workload=_ELIDED_WORKLOAD if direct else workload,
-            processors=processors,
-            references=references,
-            seed=seed,
-            timed=timed,
-            check=check,
-            label=label,
-            discipline=discipline,
-            geometry=geometry,
-            trace=self.tracer is not None,
-            **board_kwargs,
-        )
-        return self._execute_experiment(
-            spec, timing=timing, workload=workload if direct else None
-        )
-
-    def explore(self, protocol_specs, label=None, **kwargs):
-        """Exhaustively explore a protocol mix (the model checker); see
-        :func:`repro.verify.explorer.explore`."""
-        from repro.verify.explorer import Explorer
-
-        explorer = Explorer(
-            protocol_specs, label=label, profiler=self.profiler, **kwargs
-        )
-        result = explorer.run()
-        if self.tracer is not None:
-            self.tracer.mark(
-                "explore.result",
-                label=result.label,
-                consistent=result.consistent,
-                states=result.states_explored,
-                transitions=result.transitions_taken,
-            )
-        return result
-
-    def verify(
-        self,
-        cases=None,
-        workers: Optional[int] = None,
-        suites: Optional[Sequence[str]] = None,
-        **kwargs,
-    ) -> VerifyResult:
-        """Run the verification matrix (all suites by default).
-
-        ``suites`` names :data:`~repro.verify.mixes.SUITES` subsets and
-        plans a :class:`~repro.specs.VerifySpec`; an explicit ``cases``
-        list (arbitrary, possibly unpicklable case objects) bypasses the
-        spec layer and runs directly."""
-        if cases is not None:
-            if suites is not None:
-                raise ValueError("pass either cases or suites, not both")
-            from repro.verify.mixes import run_matrix
-
-            rows = run_matrix(
-                cases,
-                workers=workers,
-                tracer=self.tracer,
-                profiler=self.profiler,
-                **kwargs,
-            )
-            return VerifyResult(
-                rows=rows,
-                trace=self._snapshot_trace(),
-                profile=self.profiler,
-            )
-        spec = plan_verify(suites=suites, trace=self.tracer is not None)
-        return self._execute_verify(spec, workers=workers, **kwargs)
-
-    def fuzz_campaign(
-        self,
-        config=None,
-        seeds: Optional[int] = None,
-        workers: int = 0,
-        out_dir: Optional[Union[str, Path]] = None,
-        shards: Optional[int] = None,
-    ) -> FuzzResult:
-        """Run a differential fuzz campaign (see :mod:`repro.fuzz`).
-
-        ``shards`` switches to the range-partitioned driver
-        (:func:`repro.fuzz.campaign.run_sharded_campaign`); the report
-        is byte-identical to the per-seed driver's at any count."""
-        spec = plan_fuzz(
-            config=config, seeds=seeds, trace=self.tracer is not None
-        )
-        return self._execute_fuzz(
-            spec, workers=workers, out_dir=out_dir, shards=shards
-        )
-
-    def shootout(
-        self,
-        trace: Optional[Trace] = None,
-        protocols: Optional[Sequence[str]] = None,
-        references: int = 4000,
-        seed: int = 7,
-        timed: bool = True,
-        workers: Optional[int] = None,
-    ) -> list:
-        """The [Arch85]-style protocol comparison, one row per protocol.
-        Traced runs absorb per-protocol streams in protocol order --
-        byte-identical serial vs pooled."""
-        direct = trace is not None and not isinstance(trace, WorkloadSpec)
-        spec = plan_shootout(
-            workload=_ELIDED_WORKLOAD if direct else trace,
-            protocols=protocols,
-            references=references,
-            seed=seed,
-            timed=timed,
-            trace=self.tracer is not None,
-        )
-        return self._execute_shootout(
-            spec, workers=workers, workload=trace if direct else None
-        )
-
-    def batch_sweep(
-        self,
-        protocols=None,
-        rows: int = 64,
-        events_per_row: int = 100,
-        seed: int = 0,
-        n_units: int = 2,
-        geometry: Sequence[int] = (4, 2, 32, 8),
-        backend: Optional[str] = None,
-        workers: Optional[int] = None,
-        **kwargs,
-    ) -> list:
-        """Plan-then-execute over the batch kernel; see
-        :func:`repro.perf.sweeps.batch_protocol_sweep`."""
-        spec = plan_batch(
-            protocols=protocols,
-            rows=rows,
-            events_per_row=events_per_row,
-            seed=seed,
-            n_units=n_units,
-            geometry=geometry,
-        )
-        return self._execute_batch(
-            spec, backend=backend, workers=workers, **kwargs
         )
 
     # ------------------------------------------------------------------
@@ -889,9 +660,9 @@ def execute(
     """Execute a spec in a fresh one-shot session; the second verb.
 
     The spec's ``trace`` flag decides whether the session traces, so
-    ``execute(spec)`` of a ``trace=True`` spec is byte-identical to a
-    ``Session(trace=True)`` legacy call with the same parameters --
-    including the exported event stream."""
+    ``execute(spec)`` of a ``trace=True`` spec is byte-identical to
+    ``Session(trace=True).execute(spec)`` -- including the exported
+    event stream."""
     spec = _coerce_spec(spec)
     session = Session(trace=bool(getattr(spec, "trace", False)),
                       profile=profile)
@@ -969,70 +740,3 @@ def shutdown_pool(wait: bool = False) -> None:
     from repro.perf.engine import shutdown_pool as _shutdown
 
     _shutdown(wait=wait)
-
-
-def run_experiment(
-    protocol: str = "moesi",
-    trace: bool = False,
-    profile: bool = False,
-    **kwargs,
-) -> ExperimentResult:
-    """One-shot :meth:`Session.run_experiment`."""
-    session = Session(label=protocol, trace=trace, profile=profile)
-    return session.run_experiment(protocol=protocol, **kwargs)
-
-
-def explore(protocol_specs, label=None, **kwargs):
-    """Exhaustively explore a protocol mix; identical to
-    :func:`repro.verify.explorer.explore` (kept on the facade so
-    ``from repro import explore`` keeps meaning the model checker)."""
-    from repro.verify.explorer import explore as _explore
-
-    return _explore(protocol_specs, label=label, **kwargs)
-
-
-def fuzz_campaign(
-    config=None,
-    seeds: Optional[int] = None,
-    workers: int = 0,
-    out_dir: Optional[Union[str, Path]] = None,
-    trace: bool = False,
-    profile: bool = False,
-    shards: Optional[int] = None,
-) -> FuzzResult:
-    """One-shot :meth:`Session.fuzz_campaign`."""
-    session = Session(label="fuzz", trace=trace, profile=profile)
-    return session.fuzz_campaign(
-        config=config,
-        seeds=seeds,
-        workers=workers,
-        out_dir=out_dir,
-        shards=shards,
-    )
-
-
-def batch_sweep(
-    protocols=None,
-    rows: int = 64,
-    events_per_row: int = 100,
-    seed: int = 0,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-    **kwargs,
-) -> list:
-    """Run the struct-of-arrays batch kernel over synthetic populations,
-    one per protocol spec; returns the per-protocol summary rows.
-
-    The facade over :func:`repro.perf.sweeps.batch_protocol_sweep`:
-    ``protocols`` defaults to every registry spec the table lowering
-    accepts, ``backend`` to the fastest available (numpy when importable,
-    the pure-Python ``array`` kernel otherwise)."""
-    return Session(label="batch").batch_sweep(
-        protocols=protocols,
-        rows=rows,
-        events_per_row=events_per_row,
-        seed=seed,
-        backend=backend,
-        workers=workers,
-        **kwargs,
-    )

@@ -197,19 +197,14 @@ def _cmd_membership(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.analysis.report import format_rows
-    from repro.api import Session
-    from repro.verify.mixes import (
-        class_member_mixes,
-        homogeneous_foreign,
-        incompatible_mixes,
-        mutant_mixes,
-    )
+    from repro.api import Session, plan
 
-    cases = class_member_mixes() + homogeneous_foreign()
+    suites = ("class-members", "homogeneous-foreign")
     if not args.quick:
-        cases += incompatible_mixes() + mutant_mixes()
+        suites += ("incompatible", "mutants")
     session = Session(label="verify", trace=bool(args.trace))
-    result = session.verify(cases=cases, workers=args.workers)
+    result = session.execute(plan("verify", suites=suites),
+                             workers=args.workers)
     rows, bad = result.rows, result.failures
     metrics = {
         "verify.cases": len(rows),
@@ -239,11 +234,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_shootout(args: argparse.Namespace) -> int:
     from repro.analysis.report import format_rows
-    from repro.api import Session
+    from repro.api import Session, plan
 
     session = Session(label="shootout", trace=bool(args.trace))
-    rows = session.shootout(
-        references=args.references, seed=args.seed, workers=args.workers
+    rows = session.execute(
+        plan("shootout", references=args.references, seed=args.seed),
+        workers=args.workers,
     )
     metrics = {
         "shootout.protocols": len(rows),
@@ -509,30 +505,26 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.analysis.report import format_rows
-    from repro.api import Session
-    from repro.workloads.synthetic import SyntheticConfig, SyntheticWorkload
+    from repro.api import Session, plan
     from repro.workloads.trace import Trace
 
     protocol = args.protocol_opt or args.protocol or "moesi"
-    if args.workload:
-        workload = Trace.load(args.workload)
-    else:
-        config = SyntheticConfig(
-            processors=args.processors,
-            p_shared=args.p_shared,
-            p_write=args.p_write,
-        )
-        workload = SyntheticWorkload(config, seed=args.seed).trace(
-            args.references
-        )
+    workload = Trace.load(args.workload) if args.workload else None
+    references = len(workload) if workload is not None else args.references
     session = Session(label=protocol, trace=bool(args.trace))
-    result = session.run_experiment(
+    result = session.execute(plan(
+        "experiment",
         protocol=protocol,
         workload=workload,
+        processors=args.processors,
+        references=args.references,
+        seed=args.seed,
+        p_shared=args.p_shared,
+        p_write=args.p_write,
         timed=not args.atomic,
         check=args.check,
         discipline=args.discipline,
-    )
+    ))
     trace_path = _maybe_write_trace(args, session)
     if args.json:
         data = {
@@ -542,7 +534,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         }
         return _emit(args, "run", result.ok, data, result.metrics)
     print(format_rows([result.report.row()],
-                      f"{protocol} over {len(workload)} references"))
+                      f"{protocol} over {references} references"))
     if result.violations:
         print(f"\ncoherence violations: {len(result.violations)}")
     if trace_path:
@@ -555,10 +547,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     import dataclasses
 
-    from repro.api import Session
+    from repro.api import Session, plan
     from repro.fuzz import (
         INJECTABLE_BUGS,
-        CampaignConfig,
         ScenarioConfig,
         load_repro,
         run_scenario,
@@ -599,15 +590,15 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             return 2
         scenario_config = dataclasses.replace(scenario_config,
                                               inject=args.inject)
-    config = CampaignConfig(
-        seeds=args.seeds,
-        seed_base=args.seed_base,
-        scenario=scenario_config,
-        shrink=not args.no_shrink,
-    )
     session = Session(label="fuzz", trace=bool(args.trace))
-    result = session.fuzz_campaign(
-        config=config,
+    result = session.execute(
+        plan(
+            "fuzz",
+            seeds=args.seeds,
+            seed_base=args.seed_base,
+            scenario=scenario_config,
+            shrink=not args.no_shrink,
+        ),
         workers=args.workers,
         out_dir=args.out,
         shards=args.shards,

@@ -27,7 +27,6 @@ import json
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.deprecation import warn_deprecated
 from repro.fuzz.replay import write_repro
 from repro.fuzz.runner import StepFailure, run_scenario
 from repro.fuzz.scenario import Scenario, ScenarioConfig, generate_scenario
@@ -145,14 +144,14 @@ def _run_one(scenario_config: dict, seed: int) -> dict:
     }
 
 
-def _run_campaign(
+def run_campaign(
     config: Optional[CampaignConfig] = None,
     workers: int = 0,
     out_dir: Optional[Union[str, Path]] = None,
     profiler=None,
     tracer=None,
 ) -> CampaignReport:
-    """The campaign engine behind :func:`repro.api.fuzz_campaign`.
+    """The per-seed campaign driver behind ``execute(plan("fuzz", ...))``.
 
     ``workers=0`` means serial (same report either way).  A
     :class:`repro.obs.profile.Profiler` times the execute/shrink stages;
@@ -313,13 +312,14 @@ def run_sharded_campaign(
 ) -> CampaignReport:
     """The campaign engine at population scale: seed ranges as tasks.
 
-    The per-seed driver (:func:`repro.api.fuzz_campaign` with no shard
-    count) pickles one task and one digest per seed; at millions of
-    seeds that wire traffic dominates.  Here each pool task is a whole
-    contiguous seed range and returns one aggregate digest, re-spliced
-    in range order (= seed order) and shrunk through the same
-    :func:`_collect_failures` stage -- so the report is byte-identical
-    to the per-seed driver's at **any** shard count, including 1.
+    The per-seed driver (:func:`run_campaign`, which ``execute`` picks
+    when no ``shards`` count is given) pickles one task and one digest
+    per seed; at millions of seeds that wire traffic dominates.  Here
+    each pool task is a whole contiguous seed range and returns one
+    aggregate digest, re-spliced in range order (= seed order) and
+    shrunk through the same :func:`_collect_failures` stage -- so the
+    report is byte-identical to the per-seed driver's at **any** shard
+    count, including 1.
 
     ``shards`` defaults to ``4x`` the worker count (load balancing
     without per-seed dispatch); ``workers=0`` runs the shards serially.
@@ -374,17 +374,3 @@ def run_sharded_campaign(
         transitions_checked=transitions_checked,
         failures=failures,
     )
-
-
-def run_campaign(
-    config: Optional[CampaignConfig] = None,
-    workers: int = 0,
-    out_dir: Optional[Union[str, Path]] = None,
-) -> CampaignReport:
-    """Deprecated direct entry point; use :func:`repro.api.fuzz_campaign`.
-
-    Delegates unchanged (and warns once per process)."""
-    warn_deprecated(
-        "repro.fuzz.campaign.run_campaign", "repro.api.fuzz_campaign"
-    )
-    return _run_campaign(config, workers=workers, out_dir=out_dir)

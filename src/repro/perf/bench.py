@@ -206,13 +206,14 @@ def _bench_obs(quick: bool) -> dict:
     """Observability tax on one heterogeneous DES-free run.
 
     ``baseline`` builds and drives the System directly (how pre-facade
-    callers did); ``disabled`` goes through the Session facade with no
-    tracer (every emission site evaluates its ``is not None`` guard);
+    callers did); ``disabled`` goes through ``Session.execute(plan(...))``
+    with no tracer (every emission site evaluates its ``is not None``
+    guard);
     ``traced`` records the full structured stream.  Legs are interleaved
     and the per-leg minimum taken, so a background stall cannot charge
     one leg only.
     """
-    from repro.api import Session
+    from repro.api import Session, plan
     from repro.system.system import BoardSpec, System
     from repro.workloads.synthetic import SyntheticConfig, SyntheticWorkload
 
@@ -237,9 +238,9 @@ def _bench_obs(quick: bool) -> dict:
 
     def _facade(trace: bool) -> None:
         session = Session(label="bench-obs", trace=trace)
-        session.run_experiment(
-            protocols=protocols, workload=workload, check=False
-        )
+        session.execute(plan(
+            "experiment", protocols=protocols, workload=workload, check=False
+        ))
 
     def _time(fn) -> float:
         start = time.perf_counter()

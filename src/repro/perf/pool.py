@@ -30,10 +30,10 @@ import dataclasses
 import os
 import pickle
 import time
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Optional, Sequence, TypeVar
 
-from repro.deprecation import warn_once
 from repro.perf.engine import (
     ADAPTIVE_CUTOVER_S,
     DEFAULT_MAX_WORKERS,
@@ -96,13 +96,26 @@ def _serial_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
     return [fn(item) for item in items]
 
 
+#: Degrade reasons already warned about in this process.
+_warned: set[str] = set()
+
+
 def _warn_degrade(key: str, reason: str) -> None:
-    warn_once(
-        f"pool-degrade:{key}",
+    """Warn once per process per reason (a long campaign should not
+    print the same notice two hundred times)."""
+    if key in _warned:
+        return
+    _warned.add(key)
+    warnings.warn(
         f"parallel_map: requested parallelism degraded to serial ({reason})",
-        category=RuntimeWarning,
-        stacklevel=5,
+        RuntimeWarning,
+        stacklevel=4,
     )
+
+
+def reset_degrade_warnings() -> None:
+    """Forget which degrades have warned (tests only)."""
+    _warned.clear()
 
 
 def parallel_map(

@@ -156,9 +156,10 @@ class WorkloadSpec(_SpecBase):
     ``source="synthetic"`` regenerates the reference stream from
     ``(processors, references, seed, p_shared, p_write)`` -- byte-identical
     in every process.  ``source="literal"`` embeds the records outright
-    (``(unit, "R"|"W", address)`` tuples), so arbitrary traces -- file
-    loads, :func:`repro.workloads.ping_pong`, hand-built streams -- are
-    just as hashable."""
+    (frozen :class:`~repro.workloads.trace.ReferenceRecord` values,
+    encoded as ``[unit, "R"|"W", address]`` lists), so arbitrary traces --
+    file loads, :func:`repro.workloads.ping_pong`, hand-built streams --
+    are just as hashable."""
 
     kind = "workload"
 
@@ -176,21 +177,18 @@ class WorkloadSpec(_SpecBase):
 
     @classmethod
     def literal(cls, trace) -> "WorkloadSpec":
-        """Embed an existing :class:`repro.workloads.trace.Trace`."""
-        records = tuple(
-            (r.unit, r.op.value, r.address) for r in trace
-        )
-        return cls(source="literal", records=records)
+        """Embed an existing :class:`repro.workloads.trace.Trace`.
+
+        The trace's own records are frozen values, so they are shared,
+        not copied."""
+        return cls(source="literal", records=tuple(trace))
 
     def build(self):
         """Materialize the :class:`~repro.workloads.trace.Trace`."""
-        from repro.workloads.trace import Op, ReferenceRecord, Trace
+        from repro.workloads.trace import Trace
 
         if self.source == "literal":
-            return Trace(
-                ReferenceRecord(unit, Op(op), int(address))
-                for unit, op, address in self.records
-            )
+            return Trace(self.records)
         from repro.workloads.synthetic import SyntheticConfig, SyntheticWorkload
 
         config = SyntheticConfig(
@@ -203,7 +201,10 @@ class WorkloadSpec(_SpecBase):
     def to_dict(self) -> dict:
         data = {"kind": self.kind, "v": SPEC_VERSION, "source": self.source}
         if self.source == "literal":
-            data["records"] = [list(record) for record in self.records]
+            data["records"] = [
+                [record.unit, record.op.value, record.address]
+                for record in self.records
+            ]
         else:
             data.update(
                 processors=self.processors,
@@ -220,8 +221,7 @@ class WorkloadSpec(_SpecBase):
             return cls(
                 source="literal",
                 records=tuple(
-                    (str(unit), str(op), int(address))
-                    for unit, op, address in data.get("records", ())
+                    _literal_record(item) for item in data.get("records", ())
                 ),
             )
         return cls(
@@ -234,12 +234,34 @@ class WorkloadSpec(_SpecBase):
         )
 
 
+def _literal_record(item):
+    """One ``[unit, op, address]`` payload entry -> a ReferenceRecord.
+
+    Held to the trace-file rules (:meth:`ReferenceRecord.from_line`):
+    exactly three fields, op ``"R"`` or ``"W"``, a non-negative integer
+    address.  Payloads arrive from outside the program (the serve
+    protocol), so a bad record fails here, at parse time."""
+    from repro.workloads.trace import Op, ReferenceRecord
+
+    if not isinstance(item, (list, tuple)) or len(item) != 3:
+        raise ValueError(
+            f"literal record must be [unit, op, address], got {item!r}"
+        )
+    unit, op, address = item
+    if op not in ("R", "W"):
+        raise ValueError(f"literal record op must be 'R' or 'W': {item!r}")
+    if isinstance(address, bool) or not isinstance(address, int):
+        raise ValueError(f"literal record address must be an int: {item!r}")
+    if address < 0:
+        raise ValueError(f"negative address in literal record: {item!r}")
+    return ReferenceRecord(str(unit), Op(op), address)
+
+
 @dataclasses.dataclass(frozen=True)
 class ExperimentSpec(_SpecBase):
     """One (possibly heterogeneous) system over one workload.
 
-    The frozen replacement for the old ``Session.run_experiment`` kwarg
-    sprawl: ``protocols`` gives each board its own registry spec string
+    ``protocols`` gives each board its own registry spec string
     (``None`` replicates ``protocol`` per workload unit), ``workload``
     and ``geometry`` are nested specs, and ``trace``/``metrics`` are the
     observability flags the executed result (and the serve payload)

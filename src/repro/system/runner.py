@@ -21,14 +21,13 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.deprecation import warn_deprecated
 from repro.system.des import Simulator
 from repro.system.processor import Processor, ProcessorTiming
 from repro.system.stats import SystemReport
 from repro.system.system import System
 from repro.workloads.trace import Op, Trace
 
-__all__ = ["TimedRun", "Runner", "timed_run_from_trace"]
+__all__ = ["TimedRun", "timed_run_from_trace"]
 
 
 class TimedRun:
@@ -127,21 +126,6 @@ class TimedRun:
                            at_ns=round(next_at, 3))
 
         return step
-
-
-class Runner(TimedRun):
-    """Deprecated pre-``repro.api`` name for :class:`TimedRun`.
-
-    Kept so old scripts keep working; the first :meth:`run` per process
-    points at the replacement.
-    """
-
-    def run(self, until_ns: Optional[float] = None) -> SystemReport:
-        warn_deprecated(
-            "repro.system.runner.Runner.run",
-            "repro.api.Session.run_timed (or repro.api.run_experiment)",
-        )
-        return super().run(until_ns)
 
 
 def timed_run_from_trace(

@@ -9,8 +9,8 @@ from repro import (
     FuzzResult,
     Session,
     VerifyResult,
-    fuzz_campaign,
-    run_experiment,
+    execute,
+    plan,
 )
 from repro.obs.export import validate_chrome_trace
 from repro.workloads import ping_pong
@@ -19,7 +19,9 @@ from repro.workloads import ping_pong
 class TestRunExperiment:
     def test_default_synthetic_run(self):
         session = Session()
-        result = session.run_experiment(protocol="moesi", references=300)
+        result = session.execute(
+            plan("experiment", protocol="moesi", references=300)
+        )
         assert isinstance(result, ExperimentResult)
         assert result.ok and not result.violations
         assert result.report.accesses == 300
@@ -28,10 +30,11 @@ class TestRunExperiment:
 
     def test_mixed_protocols(self):
         session = Session()
-        result = session.run_experiment(
+        result = session.execute(plan(
+            "experiment",
             protocols=["moesi", "dragon", "write-through"],
             workload=ping_pong(rounds=20, processors=3),
-        )
+        ))
         assert result.ok
         assert result.label == "moesi+dragon+write-through"
         protocols = {unit: board.protocol.name.lower()
@@ -41,24 +44,29 @@ class TestRunExperiment:
     def test_too_few_protocols_raises(self):
         session = Session()
         with pytest.raises(ValueError, match="protocols"):
-            session.run_experiment(
+            session.execute(plan(
+                "experiment",
                 protocols=["moesi"],
                 workload=ping_pong(rounds=5, processors=3),
-            )
+            ))
 
     def test_unknown_protocol_raises(self):
         with pytest.raises(ValueError, match="unknown protocol"):
-            Session().run_experiment(protocol="nonsense", references=10)
+            Session().execute(
+                plan("experiment", protocol="nonsense", references=10)
+            )
 
     def test_timed_run_reports_elapsed(self):
-        result = Session().run_experiment(
-            protocol="moesi", references=200, timed=True
+        result = Session().execute(
+            plan("experiment", protocol="moesi", references=200, timed=True)
         )
         assert result.ok
         assert result.report.elapsed_ns > 0
 
     def test_module_level_one_shot(self):
-        result = run_experiment(protocol="illinois", references=200)
+        result = execute(
+            plan("experiment", protocol="illinois", references=200)
+        )
         assert result.ok and result.trace is None
 
 
@@ -67,8 +75,9 @@ class TestTracedRoundTrip:
 
     def test_trace_export_and_validate(self, tmp_path):
         session = Session(label="rt", trace=True)
-        result = session.run_experiment(protocol="illinois",
-                                        references=300)
+        result = session.execute(
+            plan("experiment", protocol="illinois", references=300)
+        )
         assert result.ok and result.trace
         path = result.write_trace(tmp_path / "out.trace.json")
         payload = json.loads(path.read_text())
@@ -78,33 +87,45 @@ class TestTracedRoundTrip:
 
     def test_jsonl_export(self, tmp_path):
         session = Session(trace=True)
-        result = session.run_experiment(protocol="moesi", references=100)
+        result = session.execute(
+            plan("experiment", protocol="moesi", references=100)
+        )
         path = result.write_trace(tmp_path / "out.jsonl", fmt="jsonl")
         lines = path.read_text().splitlines()
         assert len(lines) == len(result.trace)
 
     def test_unknown_format_raises(self, tmp_path):
         session = Session(trace=True)
-        result = session.run_experiment(protocol="moesi", references=50)
+        result = session.execute(
+            plan("experiment", protocol="moesi", references=50)
+        )
         with pytest.raises(ValueError, match="unknown trace format"):
             result.write_trace(tmp_path / "x", fmt="xml")
 
     def test_write_trace_without_tracing_raises(self, tmp_path):
-        result = Session().run_experiment(protocol="moesi", references=50)
+        result = Session().execute(
+            plan("experiment", protocol="moesi", references=50)
+        )
         with pytest.raises(ValueError, match="trace=True"):
             result.write_trace(tmp_path / "x.json")
 
     def test_session_accumulates_across_runs(self):
         session = Session(trace=True)
-        first = session.run_experiment(protocol="moesi", references=100)
-        second = session.run_experiment(protocol="dragon", references=100)
+        first = session.execute(
+            plan("experiment", protocol="moesi", references=100)
+        )
+        second = session.execute(
+            plan("experiment", protocol="dragon", references=100)
+        )
         assert len(second.trace) > len(first.trace)
 
     def test_to_json_round_trips_through_report(self):
         from repro.system.stats import SystemReport
 
         session = Session(trace=True)
-        result = session.run_experiment(protocol="moesi", references=100)
+        result = session.execute(
+            plan("experiment", protocol="moesi", references=100)
+        )
         restored = SystemReport.from_json(result.to_json())
         assert restored.to_json() == result.report.to_json()
 
@@ -114,61 +135,66 @@ class TestVerify:
         from repro.verify.mixes import class_member_mixes
 
         session = Session()
-        result = session.verify(cases=class_member_mixes()[:3])
+        result = session.execute(plan("verify", suites=("class-members",)))
         assert isinstance(result, VerifyResult)
         assert result.ok and result.failures == []
-        assert len(result.rows) == 3
+        assert len(result.rows) == len(class_member_mixes())
 
     def test_traced_matrix_marks_cases(self):
         from repro.verify.mixes import homogeneous_foreign
 
         session = Session(trace=True)
-        result = session.verify(cases=homogeneous_foreign()[:2])
+        result = session.execute(
+            plan("verify", suites=("homogeneous-foreign",))
+        )
         marks = [e for e in result.trace if e["kind"] == "mark"
                  and e["name"] == "verify.case"]
-        assert len(marks) == 2
+        assert len(marks) == len(homogeneous_foreign())
         assert all(m["args"]["ok"] for m in marks)
 
 
 class TestFuzz:
     def test_clean_campaign(self, tmp_path):
         session = Session()
-        result = session.fuzz_campaign(seeds=8,
-                                       out_dir=tmp_path / "repros")
+        result = session.execute(plan("fuzz", seeds=8),
+                                 out_dir=tmp_path / "repros")
         assert isinstance(result, FuzzResult)
         assert result.ok and result.failures == []
         assert result.report.seeds_run == 8
 
     def test_config_and_seeds_conflict(self):
+        # The CampaignConfig bundle is gone: campaign knobs are plan()
+        # keywords, so passing config= at all is a TypeError.
         from repro.fuzz import CampaignConfig
 
-        with pytest.raises(ValueError, match="not both"):
-            Session().fuzz_campaign(config=CampaignConfig(seeds=3), seeds=3)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            plan("fuzz", config=CampaignConfig(seeds=3), seeds=3)
 
     def test_traced_campaign_marks_stages(self, tmp_path):
         session = Session(trace=True)
-        result = session.fuzz_campaign(seeds=5,
-                                       out_dir=tmp_path / "repros")
+        result = session.execute(plan("fuzz", seeds=5),
+                                 out_dir=tmp_path / "repros")
         names = [e["name"] for e in result.trace if e["kind"] == "mark"]
         assert "fuzz.start" in names and "fuzz.done" in names
 
     def test_module_level_one_shot(self, tmp_path):
-        result = fuzz_campaign(seeds=5, out_dir=tmp_path / "repros")
+        result = execute(plan("fuzz", seeds=5),
+                         out_dir=tmp_path / "repros")
         assert result.ok
 
     def test_injected_bug_is_caught(self, tmp_path):
         import dataclasses
 
-        from repro.fuzz import CampaignConfig, ScenarioConfig
+        from repro.fuzz import ScenarioConfig
 
-        config = CampaignConfig(
+        spec = plan(
+            "fuzz",
             seeds=30,
             scenario=dataclasses.replace(ScenarioConfig(),
                                          inject="illinois-silent-im"),
         )
         session = Session(trace=True)
-        result = session.fuzz_campaign(config=config,
-                                       out_dir=tmp_path / "repros")
+        result = session.execute(spec, out_dir=tmp_path / "repros")
         assert not result.ok and result.failures
         failures = [e for e in result.trace
                     if e["kind"] == "mark" and e["name"] == "fuzz.failure"]
@@ -178,14 +204,15 @@ class TestFuzz:
 class TestShootout:
     def test_rows_per_protocol(self):
         session = Session()
-        rows = session.shootout(references=300,
-                                protocols=["moesi", "berkeley"])
+        rows = session.execute(plan("shootout", references=300,
+                                    protocols=["moesi", "berkeley"]))
         assert [row["system"] for row in rows] == ["moesi", "berkeley"]
         assert all("elapsed_us" in row for row in rows)
 
     def test_traced_rows_have_per_protocol_streams(self):
         session = Session(trace=True)
-        session.shootout(references=200, protocols=["moesi", "dragon"])
+        session.execute(plan("shootout", references=200,
+                             protocols=["moesi", "dragon"]))
         streams = {e["stream"] for e in session.tracer.export()}
         assert {"moesi", "dragon"} <= streams
 
@@ -193,7 +220,7 @@ class TestShootout:
 class TestSessionProfile:
     def test_experiment_region_recorded(self):
         session = Session(profile=True)
-        session.run_experiment(protocol="moesi", references=100)
+        session.execute(plan("experiment", protocol="moesi", references=100))
         (record,) = [r for r in session.profiler.records
                      if r.name == "experiment"]
         assert record.meta["references"] == 100

@@ -304,11 +304,11 @@ class TestScenarioSpaceFuzz:
     def test_default_pool_with_new_entries_50_seeds(self):
         """The default pool now draws adaptive hybrids and MESIF; 50+
         seeds of mixed scenarios run with zero divergence."""
-        from repro.fuzz import CampaignConfig, ScenarioConfig
-        from repro.fuzz.campaign import _run_campaign
+        from repro.api import execute, plan
+        from repro.fuzz import ScenarioConfig
 
-        config = CampaignConfig(seeds=60, scenario=ScenarioConfig())
-        report = _run_campaign(config, workers=0)
+        spec = plan("fuzz", seeds=60, scenario=ScenarioConfig())
+        report = execute(spec).report
         assert report.seeds_run == 60
         assert not report.failures, report.failures[0].failure
 
@@ -316,26 +316,28 @@ class TestScenarioSpaceFuzz:
         """MESIF fuzzes clean against its own table (negative fixture
         still *runs* correctly -- it is rejected for class membership,
         not for coherence)."""
-        from repro.fuzz import CampaignConfig, ScenarioConfig
-        from repro.fuzz.campaign import _run_campaign
+        from repro.api import execute, plan
+        from repro.fuzz import ScenarioConfig
 
-        config = CampaignConfig(
+        spec = plan(
+            "fuzz",
             seeds=50,
             scenario=ScenarioConfig(p_foreign=1.0, foreign_pool=("mesif",)),
         )
-        report = _run_campaign(config, workers=0)
+        report = execute(spec).report
         assert report.seeds_run == 50
         assert not report.failures, report.failures[0].failure
 
     def test_adaptive_only_pool_50_seeds(self):
-        from repro.fuzz import CampaignConfig, ScenarioConfig
-        from repro.fuzz.campaign import _run_campaign
+        from repro.api import execute, plan
+        from repro.fuzz import ScenarioConfig
 
-        config = CampaignConfig(
+        spec = plan(
+            "fuzz",
             seeds=50,
             scenario=ScenarioConfig(p_foreign=0.0, class_pool=ADAPTIVE_SPECS),
         )
-        report = _run_campaign(config, workers=0)
+        report = execute(spec).report
         assert report.seeds_run == 50
         assert not report.failures, report.failures[0].failure
 

@@ -1,17 +1,13 @@
 """Campaigns: oracle behaviour, reproducibility, shrinking, repro files.
 
-Exercises the legacy ``run_campaign`` entry point on purpose (the facade
-path is covered by test_api), so its deprecation warning is expected.
+Drives the campaign engine (``run_campaign``) directly; the
+``execute(plan("fuzz", ...))`` path is covered by test_api.
 """
 
 import dataclasses
 import json
 
 import pytest
-
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:repro.fuzz.campaign.run_campaign is deprecated"
-)
 
 from repro.fuzz import (
     CampaignConfig,
@@ -159,19 +155,19 @@ class TestShardedCampaign:
 
     @pytest.mark.parametrize("shards", [1, 2, 8])
     def test_clean_campaign_shard_invariant(self, shards):
-        from repro.fuzz.campaign import _run_campaign, run_sharded_campaign
+        from repro.fuzz.campaign import run_sharded_campaign
 
         config = CampaignConfig(seeds=24)
-        base = _run_campaign(config, workers=0)
+        base = run_campaign(config, workers=0)
         got = run_sharded_campaign(config, shards=shards, workers=0)
         assert got.summary_json() == base.summary_json()
         assert got.summary_text() == base.summary_text()
 
     def test_failing_campaign_shard_invariant(self, tmp_path):
-        from repro.fuzz.campaign import _run_campaign, run_sharded_campaign
+        from repro.fuzz.campaign import run_sharded_campaign
 
         config = _bug_config("moesi-drop-ownership", seeds=16)
-        base = _run_campaign(config, workers=0, out_dir=tmp_path / "seed")
+        base = run_campaign(config, workers=0, out_dir=tmp_path / "seed")
         assert base.failures, "expected the injected bug to fire"
         got = run_sharded_campaign(
             config, shards=3, workers=0, out_dir=tmp_path / "shard"
@@ -193,7 +189,7 @@ class TestShardedCampaign:
         assert pooled.summary_json() == serial.summary_json()
 
     def test_facade_passthrough(self):
-        from repro.api import fuzz_campaign
+        from repro.api import execute, plan
 
-        result = fuzz_campaign(seeds=8, shards=2)
+        result = execute(plan("fuzz", seeds=8), shards=2)
         assert result.report.seeds_run == 8

@@ -82,8 +82,8 @@ def test_injectable_bug_mutants_caught_by_fuzzer():
     and their counterexamples shrink to a handful of events."""
     import dataclasses
 
-    from repro.fuzz import CampaignConfig, INJECTABLE_BUGS, ScenarioConfig
-    from repro.fuzz.campaign import run_campaign
+    from repro.api import execute, plan
+    from repro.fuzz import INJECTABLE_BUGS, ScenarioConfig
 
     mutant_bugs = [
         name for name, bug in INJECTABLE_BUGS.items()
@@ -91,11 +91,12 @@ def test_injectable_bug_mutants_caught_by_fuzzer():
     ]
     assert len(mutant_bugs) >= 4, "no mutants are exposed as injectable bugs"
     for name in mutant_bugs:
-        config = CampaignConfig(
+        spec = plan(
+            "fuzz",
             seeds=40,
             scenario=dataclasses.replace(ScenarioConfig(), inject=name),
         )
-        report = run_campaign(config, workers=0)
+        report = execute(spec).report
         assert report.failures, f"bug:{name} survived 40 fuzz seeds"
         smallest = min(len(f.scenario.events) for f in report.failures)
         assert smallest <= 6, (

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro import Session
+from repro import Session, plan
 from repro.obs.export import (
     bus_rows,
     format_trace,
@@ -23,11 +23,12 @@ from repro.workloads import ping_pong
 
 def _traced_run(timed=False, rounds=10):
     session = Session(label="obs-test", trace=True)
-    result = session.run_experiment(
+    result = session.execute(plan(
+        "experiment",
         protocol="moesi",
         workload=ping_pong(rounds=rounds, processors=2),
         timed=timed,
-    )
+    ))
     return session, result
 
 
@@ -230,9 +231,10 @@ class TestSystemMetrics:
 
     def test_per_state_hit_breakdown(self):
         session = Session(label="hits")
-        result = session.run_experiment(
-            protocol="moesi", workload=ping_pong(rounds=20, processors=2)
-        )
+        result = session.execute(plan(
+            "experiment", protocol="moesi",
+            workload=ping_pong(rounds=20, processors=2),
+        ))
         by_state = {name: value for name, value in result.metrics.items()
                     if name.startswith("cache.hits_in_state.")}
         assert by_state
@@ -240,9 +242,10 @@ class TestSystemMetrics:
 
     def test_system_metrics_is_a_registry(self):
         session = Session(label="reg")
-        result = session.run_experiment(
-            protocol="dragon", workload=ping_pong(rounds=5, processors=2)
-        )
+        result = session.execute(plan(
+            "experiment", protocol="dragon",
+            workload=ping_pong(rounds=5, processors=2),
+        ))
         registry = system_metrics(result.system)
         assert isinstance(registry, MetricsRegistry)
         assert registry.to_dict() == result.metrics
@@ -276,10 +279,12 @@ class TestProfiler:
         assert profiler.total_s("y") == 0.2
 
     def test_explorer_frontier_region(self):
-        session = Session(label="prof", profile=True)
-        result = session.explore(["moesi", "moesi"])
+        from repro.verify.explorer import explore
+
+        profiler = Profiler()
+        result = explore(["moesi", "moesi"], profiler=profiler)
         assert result.consistent
-        (record,) = [r for r in session.profiler.records
+        (record,) = [r for r in profiler.records
                      if r.name == "explorer.frontier"]
         assert record.meta["states"] == result.states_explored
 
@@ -304,9 +309,10 @@ class TestSystemReportRoundTrip:
 
     def test_untraced_report_serializes_none(self):
         session = Session(label="plain")
-        result = session.run_experiment(
-            protocol="moesi", workload=ping_pong(rounds=5, processors=2)
-        )
+        result = session.execute(plan(
+            "experiment", protocol="moesi",
+            workload=ping_pong(rounds=5, processors=2),
+        ))
         report = result.report
         assert report.trace is None
         restored = type(report).from_json(report.to_json())
@@ -316,30 +322,30 @@ class TestSystemReportRoundTrip:
 
 class TestSerialParallelEquivalence:
     def test_traced_shootout_merge_is_byte_identical(self):
+        spec = plan("shootout", references=300,
+                    protocols=["moesi", "dragon", "illinois"])
         serial = Session(label="cmp", trace=True)
-        serial.shootout(references=300, workers=None,
-                        protocols=["moesi", "dragon", "illinois"])
+        serial.execute(spec, workers=None)
         parallel = Session(label="cmp", trace=True)
-        parallel.shootout(references=300, workers=2,
-                          protocols=["moesi", "dragon", "illinois"])
+        parallel.execute(spec, workers=2)
         assert serial.trace_jsonl() == parallel.trace_jsonl()
 
     def test_traced_verify_marks_are_identical(self):
-        from repro.verify.mixes import class_member_mixes
+        from repro.verify.mixes import class_member_mixes, run_matrix
 
-        cases = class_member_mixes()[:4]
-        serial = Session(label="v", trace=True)
-        serial.verify(cases=cases, workers=None)
-        parallel = Session(label="v", trace=True)
-        parallel.verify(cases=class_member_mixes()[:4], workers=2)
-        assert serial.trace_jsonl() == parallel.trace_jsonl()
+        serial = Tracer(stream="v")
+        run_matrix(class_member_mixes()[:4], workers=None, tracer=serial)
+        parallel = Tracer(stream="v")
+        run_matrix(class_member_mixes()[:4], workers=2, tracer=parallel)
+        assert to_jsonl(serial.export()) == to_jsonl(parallel.export())
 
 
 @pytest.mark.parametrize("protocol", ["moesi", "illinois", "dragon"])
 def test_traced_run_stays_coherent(protocol):
     session = Session(label=protocol, trace=True)
-    result = session.run_experiment(
-        protocol=protocol, workload=ping_pong(rounds=15, processors=3)
-    )
+    result = session.execute(plan(
+        "experiment", protocol=protocol,
+        workload=ping_pong(rounds=15, processors=3),
+    ))
     assert result.ok
     assert len(result.trace) > 0

@@ -294,9 +294,11 @@ class TestSweepEntryPoints:
         assert all(row["verified_rows"] == 2 for row in rows)
 
     def test_api_facade(self):
-        from repro.api import batch_sweep
+        from repro.api import execute, plan
 
-        rows = batch_sweep(protocols=("dragon",), rows=4, events_per_row=20)
+        rows = execute(
+            plan("batch", protocols=("dragon",), rows=4, events_per_row=20)
+        )
         assert rows[0]["protocol"] == "dragon"
         assert rows[0]["crashes"] == 0
 

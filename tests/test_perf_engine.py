@@ -15,7 +15,7 @@ import warnings
 
 import pytest
 
-from repro.deprecation import reset_deprecation_warnings
+from repro.perf.pool import reset_degrade_warnings
 from repro.perf.engine import (
     ParallelTimeoutError,
     default_chunk_size,
@@ -124,17 +124,17 @@ class TestTimeout:
 
 class TestDegradeWarnings:
     def test_unpicklable_fallback_warns_once(self):
-        reset_deprecation_warnings()
+        reset_degrade_warnings()
         config = ParallelConfig(workers=2)
         with pytest.warns(RuntimeWarning, match="degraded to serial"):
             assert parallel_map(lambda x: x + 1, [1, 2], config) == [2, 3]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert parallel_map(lambda x: x + 1, [1, 2], config) == [2, 3]
-        reset_deprecation_warnings()
+        reset_degrade_warnings()
 
     def test_serial_mode_never_warns(self):
-        reset_deprecation_warnings()
+        reset_degrade_warnings()
         config = ParallelConfig(workers=4, mode="serial")
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro.api import execute, plan_experiment, plan_verify
+from repro.api import execute, plan
 from repro.obs.stream import metrics_frame, reassemble_trace, trace_frames
 from repro.perf.engine import ParallelTimeoutError
 from repro.serve import MemoCache, ReproServer, ServeClient, ServeConfig
@@ -143,7 +143,7 @@ def counting_dispatcher(counter: list):
     return dispatcher
 
 
-SPEC = plan_experiment(protocol="moesi", references=150, seed=3)
+SPEC = plan("experiment", protocol="moesi", references=150, seed=3)
 
 
 class TestDaemon:
@@ -167,8 +167,9 @@ class TestDaemon:
         assert first["metrics"] == second["metrics"]
 
     def test_served_result_byte_identical_to_direct_execute(self):
-        spec = plan_experiment(
-            protocol="dragon", references=150, seed=5, trace=True,
+        spec = plan(
+            "experiment", protocol="dragon", references=150, seed=5,
+            trace=True,
         )
         with Daemon() as daemon:  # production dispatcher, warm pool
             served = daemon.client().execute(spec)
@@ -184,8 +185,8 @@ class TestDaemon:
         )
 
     def test_streamed_response_reassembles_identically(self):
-        spec = plan_experiment(
-            protocol="moesi", references=150, seed=4, trace=True,
+        spec = plan(
+            "experiment", protocol="moesi", references=150, seed=4, trace=True,
         )
         dispatched = []
         with Daemon(
@@ -218,7 +219,7 @@ class TestDaemon:
             thread.start()
             # Wait until the stalled job is admitted, then overflow with
             # a *different* spec (same spec would coalesce, not queue).
-            other = plan_experiment(protocol="berkeley", references=150)
+            other = plan("experiment", protocol="berkeley", references=150)
             for _ in range(100):
                 if daemon.client().status()["data"]["admitted"]:
                     break
@@ -323,11 +324,35 @@ class TestDaemon:
         assert status["ok"]
         assert status["data"]["counters"]["errors"] == 2
 
+    def test_bad_literal_records_rejected_before_dispatch(self):
+        from repro.workloads import ping_pong
+
+        good = plan("experiment", workload=ping_pong(rounds=1, processors=2))
+        dispatched = []
+        bad = (["cpu0", "R", -16], ["cpu0", "X", 16], ["cpu0", "w", 16],
+               ["cpu0", "R"])
+        with Daemon(dispatcher=counting_dispatcher(dispatched)) as daemon:
+            client = daemon.client()
+            responses = []
+            for record in bad:
+                payload = good.to_dict()
+                payload["workload"]["records"].append(record)
+                responses.append(client._roundtrip(
+                    {"command": "execute", "spec": payload}
+                ))
+            status = client.status()["data"]
+        for response in responses:
+            assert not response["ok"]
+            assert response["error"] == "bad-request"
+            assert "literal record" in response["detail"]
+        assert dispatched == []
+        assert status["counters"]["errors"] == len(bad)
+
     def test_verify_spec_served(self):
         dispatched = []
         with Daemon(dispatcher=counting_dispatcher(dispatched)) as daemon:
             response = daemon.client().execute(
-                plan_verify(suites=("class-members",))
+                plan("verify", suites=("class-members",))
             )
         assert response["ok"]
         assert response["data"]["kind"] == "verify"

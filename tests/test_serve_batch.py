@@ -17,7 +17,7 @@ import threading
 import pytest
 
 import repro.perf.batch as batch_mod
-from repro.api import execute, execute_many, plan_experiment
+from repro.api import execute, execute_many, plan
 from repro.perf.batch import available_backends, run_batch_specs
 from repro.serve import ReproServer, ServeClient, ServeConfig
 from repro.serve.jobs import execute_batch_payloads, execute_payload
@@ -66,7 +66,7 @@ class TestBatchKey:
         assert batch_spec(protocols=("moesi-random",)).batch_key() is None
 
     def test_non_batch_specs_have_no_key(self):
-        assert plan_experiment(references=50).batch_key() is None
+        assert plan("experiment", references=50).batch_key() is None
 
 
 # ----------------------------------------------------------------------
@@ -119,7 +119,7 @@ class TestExecuteMany:
     def test_mixed_list_matches_one_at_a_time(self):
         specs = [
             batch_spec(seed=3),
-            plan_experiment(protocol="dragon", references=80, seed=5),
+            plan("experiment", protocol="dragon", references=80, seed=5),
             batch_spec(seed=4),
         ]
         results = execute_many(specs)
@@ -237,8 +237,8 @@ class TestDaemonBatching:
         specs = [
             batch_spec(seed=0),
             batch_spec(seed=1),
-            plan_experiment(protocol="dragon", references=80, seed=5),
-            plan_experiment(protocol="moesi", references=80, seed=6),
+            plan("experiment", protocol="dragon", references=80, seed=5),
+            plan("experiment", protocol="moesi", references=80, seed=6),
             batch_spec(seed=0),  # duplicate: single-flight coalesces it
         ]
         with Daemon(batch_window_s=0.5, batch_max=64) as daemon:

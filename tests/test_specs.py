@@ -1,31 +1,22 @@
 """The plan/execute split: canonical spec strings, content hashes, and
-byte-identity between ``execute(plan(...))`` and the legacy Session
-entry points.
+byte-identity between ``execute(plan(...))`` and the engines it drives.
 
 The properties under test are the ones the serve tier's memoization
 correctness rests on: equal specs hash identically in every process,
-different work hashes differently, and the two API spellings produce
-byte-for-byte the same results (so a cached payload is indistinguishable
-from a recomputed one).
+different work hashes differently, and executing a spec produces
+byte-for-byte the result of driving the engine directly (so a cached
+payload is indistinguishable from a recomputed one).
 """
 
+import dataclasses
 import json
 import pickle
 import subprocess
 import sys
-import warnings
 
 import pytest
 
-from repro.api import (
-    Session,
-    execute,
-    plan,
-    plan_experiment,
-    plan_fuzz,
-    plan_shootout,
-    plan_verify,
-)
+from repro.api import Session, execute, plan
 from repro.specs import (
     SPEC_VERSION,
     BatchSpec,
@@ -44,12 +35,14 @@ SMALL = dict(references=200, seed=3)
 
 def all_spec_examples():
     return [
-        plan_experiment(protocol="dragon", **SMALL, timed=True),
-        plan_experiment(protocols=("moesi", "berkeley"), processors=2,
-                        **SMALL, discipline="round-robin"),
-        plan_verify(suites=("class-members",)),
-        plan_fuzz(seeds=3, trace=True),
-        plan_shootout(references=300),
+        plan("experiment", protocol="dragon", **SMALL, timed=True),
+        plan("experiment", protocols=("moesi", "berkeley"), processors=2,
+             **SMALL, discipline="round-robin"),
+        plan("verify", suites=("class-members",)),
+        plan("fuzz", seeds=3, trace=True),
+        plan("shootout", references=300),
+        plan("shootout", workload=WorkloadSpec(references=30).build(),
+             protocols=("moesi",)),
         plan("batch", rows=8, events_per_row=20),
     ]
 
@@ -92,10 +85,10 @@ class TestCanonical:
             spec_from_dict([1, 2, 3])
 
     def test_hash_stable_across_processes(self):
-        spec = plan_experiment(protocol="moesi", **SMALL, timed=True)
+        spec = plan("experiment", protocol="moesi", **SMALL, timed=True)
         program = (
-            "from repro.api import plan_experiment;"
-            "print(plan_experiment(protocol='moesi', references=200,"
+            "from repro.api import plan;"
+            "print(plan('experiment', protocol='moesi', references=200,"
             " seed=3, timed=True).content_hash())"
         )
         child = subprocess.run(
@@ -106,15 +99,15 @@ class TestCanonical:
         assert child.stdout.strip() == spec.content_hash()
 
     def test_hash_differs_by_seed_geometry_discipline(self):
-        base = plan_experiment(protocol="moesi", **SMALL)
+        base = plan("experiment", protocol="moesi", **SMALL)
         variants = [
-            plan_experiment(protocol="moesi", references=200, seed=4),
-            plan_experiment(protocol="moesi", **SMALL,
-                            geometry=GeometrySpec(num_sets=16)),
-            plan_experiment(protocol="moesi", **SMALL,
-                            discipline="priority"),
-            plan_experiment(protocol="berkeley", **SMALL),
-            plan_experiment(protocol="moesi", **SMALL, timed=True),
+            plan("experiment", protocol="moesi", references=200, seed=4),
+            plan("experiment", protocol="moesi", **SMALL,
+                 geometry=GeometrySpec(num_sets=16)),
+            plan("experiment", protocol="moesi", **SMALL,
+                 discipline="priority"),
+            plan("experiment", protocol="berkeley", **SMALL),
+            plan("experiment", protocol="moesi", **SMALL, timed=True),
         ]
         hashes = {base.content_hash()}
         for variant in variants:
@@ -124,7 +117,7 @@ class TestCanonical:
     def test_execution_details_stay_out_of_the_hash(self):
         # workers/backend/out_dir ride on execute(); nothing in any spec
         # mentions them, so one hash covers every way of computing it.
-        spec = plan_verify(suites=("class-members",))
+        spec = plan("verify", suites=("class-members",))
         assert "workers" not in spec.canonical()
         assert "backend" not in spec.canonical()
 
@@ -154,63 +147,183 @@ class TestWorkloadSpec:
         with pytest.raises(ValueError, match="unknown workload source"):
             WorkloadSpec(source="oracle")
 
+    def test_literal_shares_the_trace_records(self):
+        trace = WorkloadSpec(references=40, seed=5).build()
+        lit = WorkloadSpec.literal(trace)
+        assert all(a is b for a, b in zip(lit.records, trace))
+        rebuilt = lit.build()
+        assert rebuilt.records == trace.records
+        rebuilt.append(trace[0])
+        assert len(lit.build()) == len(trace)  # build() copies the list
+
+    @pytest.mark.parametrize("record", [
+        ["cpu0", "R", -16],
+        ["cpu0", "X", 16],
+        ["cpu0", "w", 16],
+        ["cpu0", "R"],
+        ["cpu0", "R", 16, 0],
+        ["cpu0", "R", "16"],
+        ["cpu0", "R", 1.5],
+        ["cpu0", "R", True],
+        "cpu",
+    ])
+    def test_bad_literal_record_rejected_at_parse(self, record):
+        payload = plan(
+            "experiment", workload=WorkloadSpec(references=3).build()
+        ).to_dict()
+        payload["workload"]["records"].append(record)
+        with pytest.raises(ValueError, match="literal record"):
+            spec_from_dict(payload)
+
 
 # ----------------------------------------------------------------------
-# Byte-identity: execute(plan(...)) vs the legacy entry points.
+# Golden values computed before the plan/execute cut: literal workloads
+# now carry ReferenceRecords, but the canonical bytes must not move.
 # ----------------------------------------------------------------------
+GOLDEN_LITERAL_CANONICAL = (
+    '{"check":true,"discipline":null,"geometry":{"associativity":2,'
+    '"kind":"geometry","line_size":32,"num_sets":64,"replacement":"lru",'
+    '"v":1},"kind":"experiment","label":null,"metrics":true,'
+    '"protocol":"illinois","protocols":null,"timed":false,"trace":false,'
+    '"v":1,"workload":{"kind":"workload","records":[["cpu0","W",0],'
+    '["cpu0","R",0],["cpu1","W",0],["cpu1","R",0]],"source":"literal",'
+    '"v":1}}'
+)
+GOLDEN_SYNTHETIC_CANONICAL = (
+    '{"check":true,"discipline":null,"geometry":{"associativity":2,'
+    '"kind":"geometry","line_size":32,"num_sets":64,"replacement":"lru",'
+    '"v":1},"kind":"experiment","label":null,"metrics":true,'
+    '"protocol":"moesi","protocols":null,"timed":true,"trace":false,'
+    '"v":1,"workload":{"kind":"workload","p_shared":0.3,"p_write":0.3,'
+    '"processors":4,"references":200,"seed":3,"source":"synthetic",'
+    '"v":1}}'
+)
+
+
+class TestGolden:
+    def test_small_literal_spec(self):
+        from repro.workloads import ping_pong
+
+        spec = plan("experiment", protocol="illinois",
+                    workload=ping_pong(rounds=2, processors=2))
+        assert spec.canonical() == GOLDEN_LITERAL_CANONICAL
+        assert spec.content_hash() == (
+            "ed2489ad80ab176eb74436bc73d924ae"
+            "9869742e2ccddc055198d6d4805ef1a4"
+        )
+
+    def test_large_literal_spec(self):
+        trace = WorkloadSpec(references=3000, seed=11).build()
+        spec = plan("experiment",
+                    protocols=("moesi", "dragon", "berkeley",
+                               "write-through"),
+                    workload=trace, check=False)
+        assert spec.content_hash() == (
+            "ba54c47c9ef9a80653556a46c268366a"
+            "bc2993559346050b2d809f1052c28e91"
+        )
+
+    def test_literal_shootout_spec(self):
+        from repro.workloads import ping_pong
+
+        spec = plan("shootout", protocols=("moesi", "dragon"),
+                    workload=ping_pong(rounds=2, processors=2))
+        assert spec.content_hash() == (
+            "15da2592fb24b77d1b8bce6444cbc540"
+            "9c2532abdebe066f2249e3ce799c4375"
+        )
+
+    def test_synthetic_spec(self):
+        spec = plan("experiment", protocol="moesi", **SMALL, timed=True)
+        assert spec.canonical() == GOLDEN_SYNTHETIC_CANONICAL
+        assert spec.content_hash() == (
+            "021ffd54fd8714d9cecbf126f52af840"
+            "e3d0e2eca6dc38cc7b95362f6470dd26"
+        )
+
+
+# ----------------------------------------------------------------------
+# Byte-identity: execute(plan(...)) vs driving the engines directly.
+# ----------------------------------------------------------------------
+def _direct_system(protocols, trace, label):
+    from repro.system.system import BoardSpec, System
+
+    return System(
+        [BoardSpec(unit, name)
+         for unit, name in zip(trace.units(), protocols)],
+        label=label,
+    )
+
+
 class TestByteIdentity:
     def test_experiment_report_identical(self):
-        spec = plan_experiment(protocol="moesi", **SMALL, timed=True)
+        from repro.system.runner import timed_run_from_trace
+
+        spec = plan("experiment", protocol="moesi", **SMALL, timed=True)
         planned = execute(spec)
-        legacy = Session().run_experiment(
-            protocol="moesi", references=200, seed=3, timed=True
-        )
-        assert planned.report.to_json() == legacy.report.to_json()
-        assert planned.metrics == legacy.metrics
+        trace = WorkloadSpec(references=200, seed=3).build()
+        system = _direct_system(["moesi"] * 4, trace, "moesi")
+        report = timed_run_from_trace(system, trace).run()
+        assert planned.report.to_json() == report.to_json()
+        assert planned.metrics == report.metrics
 
     def test_traced_experiment_identical(self):
-        spec = plan_experiment(
-            protocols=("moesi", "dragon"), processors=2, **SMALL,
-            trace=True,
+        spec = plan(
+            "experiment", protocols=("moesi", "dragon"), processors=2,
+            **SMALL, trace=True,
         )
         planned = execute(spec)
-        legacy = Session(trace=True).run_experiment(
-            protocols=("moesi", "dragon"), processors=2,
-            references=200, seed=3,
+        session = Session(trace=True)
+        in_session = session.execute(
+            dataclasses.replace(spec, trace=False)
         )
-        assert planned.report.to_json() == legacy.report.to_json()
+        assert planned.report.to_json() == in_session.report.to_json()
         assert (
             json.dumps(planned.trace, sort_keys=True, default=str)
-            == json.dumps(legacy.trace, sort_keys=True, default=str)
+            == json.dumps(in_session.trace, sort_keys=True, default=str)
         )
 
     def test_explicit_workload_identical(self):
         trace = WorkloadSpec(references=120, seed=11).build()
-        spec = plan_experiment(protocol="illinois", workload=trace)
-        planned = execute(spec)
-        legacy = Session().run_experiment(
-            protocol="illinois", workload=trace
-        )
-        assert planned.report.to_json() == legacy.report.to_json()
+        planned = execute(plan("experiment", protocol="illinois",
+                               workload=trace))
+        system = _direct_system(["illinois"] * 4, trace, "illinois")
+        system.run_trace(trace)
+        assert planned.report.to_json() == system.report().to_json()
 
     def test_verify_rows_identical(self):
-        spec = plan_verify(suites=("class-members",))
-        planned = execute(spec)
-        legacy = Session().verify(suites=("class-members",))
-        assert planned.rows == legacy.rows
+        from repro.verify.mixes import class_member_mixes, run_matrix
+
+        planned = execute(plan("verify", suites=("class-members",)))
+        assert planned.rows == run_matrix(class_member_mixes())
+
+    def test_cli_verify_quick_rows_identical(self, capsys):
+        from repro.cli import main
+
+        assert main(["verify", "--quick", "--json"]) == 0
+        envelope = json.loads(capsys.readouterr().out)
+        planned = execute(plan(
+            "verify", suites=("class-members", "homogeneous-foreign")
+        ))
+        assert envelope["data"]["rows"] == json.loads(
+            json.dumps(planned.rows, default=str)
+        )
 
     def test_shootout_rows_identical(self):
-        spec = plan_shootout(references=300)
-        assert execute(spec) == Session().shootout(references=300)
+        from repro.analysis.compare import protocol_comparison
+
+        spec = plan("shootout", references=300)
+        assert execute(spec) == protocol_comparison(references=300)
 
     def test_fuzz_report_identical(self):
-        spec = plan_fuzz(seeds=2)
-        planned = execute(spec)
-        legacy = Session().fuzz_campaign(seeds=2)
-        assert planned.report.to_dict() == legacy.report.to_dict()
+        from repro.fuzz.campaign import CampaignConfig, run_campaign
+
+        planned = execute(plan("fuzz", seeds=2))
+        direct = run_campaign(CampaignConfig(seeds=2))
+        assert planned.report.to_dict() == direct.to_dict()
 
     def test_execute_accepts_dict_and_canonical_string(self):
-        spec = plan_experiment(protocol="moesi", **SMALL)
+        spec = plan("experiment", protocol="moesi", **SMALL)
         via_obj = execute(spec).report.to_json()
         assert execute(spec.to_dict()).report.to_json() == via_obj
         assert execute(spec.canonical()).report.to_json() == via_obj
@@ -221,53 +334,27 @@ class TestByteIdentity:
 
 
 # ----------------------------------------------------------------------
-# The legacy keyword paths: still working, warning once.
+# The pre-spec keyword spellings are gone, not silently accepted.
 # ----------------------------------------------------------------------
 class TestLegacyKeywords:
-    def test_board_kwargs_warn_once_and_match_geometry(self):
-        from repro.deprecation import reset_deprecation_warnings
-
-        reset_deprecation_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            loose = Session().run_experiment(
-                protocol="moesi", references=150, seed=2, num_sets=16,
-                associativity=1,
-            )
-            again = Session().run_experiment(
-                protocol="moesi", references=150, seed=2, num_sets=16,
-                associativity=1,
-            )
-        legacy = [w for w in caught
-                  if issubclass(w.category, DeprecationWarning)]
-        assert len(legacy) == 1
-        assert "GeometrySpec" in str(legacy[0].message)
-        explicit = Session().run_experiment(
-            protocol="moesi", references=150, seed=2,
-            geometry=GeometrySpec(num_sets=16, associativity=1),
-        )
-        assert loose.report.to_json() == explicit.report.to_json()
-        assert again.report.to_json() == explicit.report.to_json()
-
     def test_unknown_board_kwarg_raises(self):
-        with pytest.raises(TypeError, match="unknown"):
-            Session().run_experiment(protocol="moesi", lines=4)
+        # Loose board geometry is a plain TypeError:
+        # geometry=GeometrySpec(...) is the only spelling.
+        for kwargs in ({"lines": 4}, {"num_sets": 8}, {"associativity": 1}):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                plan("experiment", **kwargs)
 
     def test_planned_spec_matches_loose_kwargs(self):
-        from repro.deprecation import reset_deprecation_warnings
-
-        reset_deprecation_warnings()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            loose = plan_experiment(protocol="moesi", num_sets=8)
-        explicit = plan_experiment(
-            protocol="moesi", geometry=GeometrySpec(num_sets=8)
+        # plan()'s flat keywords assemble exactly the nested spec.
+        planned = plan("experiment", protocol="moesi", references=150,
+                       seed=2, geometry=GeometrySpec(num_sets=8))
+        assembled = ExperimentSpec(
+            protocol="moesi",
+            workload=WorkloadSpec(references=150, seed=2),
+            geometry=GeometrySpec(num_sets=8),
         )
-        assert loose.content_hash() == explicit.content_hash()
-
-    def test_cases_and_suites_are_exclusive(self):
-        with pytest.raises(ValueError, match="either cases or suites"):
-            Session().verify(cases=[object()], suites=("class-members",))
+        assert planned == assembled
+        assert planned.content_hash() == assembled.content_hash()
 
 
 # ----------------------------------------------------------------------
