@@ -66,7 +66,6 @@ __all__ = [
     "FuzzResult",
     "plan",
     "execute",
-    "execute_many",
     "shutdown_pool",
     "warm_pool",
 ]
@@ -676,67 +675,13 @@ def execute(
     )
 
 
-def execute_many(
-    specs,
-    *,
-    workers: Optional[int] = None,
-    backend: Optional[str] = None,
-) -> list:
-    """Execute several specs, coalescing compatible batch sweeps.
+def __getattr__(name: str):
+    """Re-export the pool controls (:func:`repro.perf.pool.warm_pool`,
+    :func:`repro.perf.pool.shutdown_pool`) lazily: importing
+    :mod:`repro.perf` loads the batch kernel, which a plain
+    ``import repro`` should not pay for."""
+    if name in ("shutdown_pool", "warm_pool"):
+        from repro.perf import pool
 
-    The local (in-process) face of the serve tier's continuous
-    batching: specs whose :meth:`~repro.specs._SpecBase.batch_key` is
-    non-``None`` merge into shared SoA kernel populations via
-    :func:`repro.perf.batch.run_batch_specs`; everything else runs
-    through :func:`execute` one at a time.  Results return in input
-    order.  Coalesced entries yield the sweep row-lists ``execute``
-    would for the same :class:`~repro.specs.BatchSpec`, minus the
-    wall-clock ``transitions_per_sec`` column (a merged run has no
-    per-spec wall time)."""
-    specs = [_coerce_spec(spec) for spec in specs]
-    results: list = [None] * len(specs)
-    coalesced = [
-        index
-        for index, spec in enumerate(specs)
-        if spec.batch_key() is not None
-    ]
-    if len(coalesced) >= 2:
-        from repro.perf.batch import run_batch_specs
-
-        rows = run_batch_specs(
-            [specs[index] for index in coalesced], backend=backend
-        )
-        for index, spec_rows in zip(coalesced, rows):
-            results[index] = spec_rows
-    else:
-        coalesced = []
-    merged = set(coalesced)
-    for index, spec in enumerate(specs):
-        if index not in merged:
-            results[index] = execute(
-                spec, workers=workers, backend=backend
-            )
-    return results
-
-
-def warm_pool(workers: Optional[int] = None) -> int:
-    """Pre-start the persistent worker pool (see :mod:`repro.perf.engine`).
-
-    Optional: the pool starts lazily on the first ``parallel_map``
-    anyway; warming it moves the fork cost out of the first timed
-    region.  Returns the worker count started (or already running)."""
-    from repro.perf.engine import get_executor, resolve_workers
-
-    workers = resolve_workers(workers)
-    get_executor(workers)
-    return workers
-
-
-def shutdown_pool(wait: bool = False) -> None:
-    """Shut down the persistent worker pool (no-op when not running).
-
-    Normally unnecessary -- the pool is reclaimed at interpreter exit --
-    but long-lived embedders can release the worker processes early."""
-    from repro.perf.engine import shutdown_pool as _shutdown
-
-    _shutdown(wait=wait)
+        return getattr(pool, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

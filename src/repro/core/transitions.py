@@ -683,7 +683,7 @@ def fast_tables_enabled() -> bool:
 def tables_epoch() -> int:
     """Monotonic counter bumped whenever :func:`set_fast_tables` changes
     the setting.  Forked workers freeze the setting they inherited, so
-    pool owners (:mod:`repro.perf.engine`) compare the epoch they started
+    pool owners (:mod:`repro.perf.pool`) compare the epoch they started
     under against the current one and restart stale workers."""
     return _TABLES_EPOCH
 

@@ -46,7 +46,7 @@ from repro.perf.batch import (
     run_population,
     verify_rows,
 )
-from repro.perf.pool import ParallelConfig, parallel_map
+from repro.perf.pool import parallel_map
 
 __all__ = ["BatchCampaignReport", "run_batch_campaign"]
 
@@ -243,12 +243,8 @@ def run_batch_campaign(
         oracle_sample,
         tables_shm,
     )
-    pool = ParallelConfig(
-        workers=workers if workers > 0 else 1,
-        mode="serial" if workers <= 1 else "auto",
-    )
     try:
-        digests = parallel_map(task_fn, ranges, pool)
+        digests = parallel_map(task_fn, ranges, workers=workers)
     finally:
         if tables_shm is not None:
             from repro.perf.shared import unlink_tables

@@ -31,7 +31,7 @@ from repro.fuzz.replay import write_repro
 from repro.fuzz.runner import StepFailure, run_scenario
 from repro.fuzz.scenario import Scenario, ScenarioConfig, generate_scenario
 from repro.fuzz.shrink import shrink_scenario
-from repro.perf.pool import ParallelConfig, parallel_map
+from repro.perf.pool import parallel_map
 
 __all__ = [
     "CampaignConfig",
@@ -160,19 +160,15 @@ def run_campaign(
     config = config or CampaignConfig()
     task_fn = functools.partial(_run_one, config.scenario.to_dict())
     tasks = range(config.seed_base, config.seed_base + config.seeds)
-    pool = ParallelConfig(
-        workers=workers if workers > 0 else 1,
-        mode="serial" if workers <= 1 else "auto",
-    )
     if tracer is not None:
         tracer.mark(
             "fuzz.start", seeds=config.seeds, seed_base=config.seed_base
         )
     if profiler is not None:
         with profiler.region("fuzz.execute", seeds=len(tasks)):
-            digests = parallel_map(task_fn, tasks, pool)
+            digests = parallel_map(task_fn, tasks, workers=workers)
     else:
-        digests = parallel_map(task_fn, tasks, pool)
+        digests = parallel_map(task_fn, tasks, workers=workers)
 
     steps_run = 0
     transitions_checked = 0
@@ -329,10 +325,6 @@ def run_sharded_campaign(
         shards = 4 * max(1, workers)
     ranges = shard_ranges(config.seed_base, config.seeds, shards)
     task_fn = functools.partial(_run_shard, config.scenario.to_dict())
-    pool = ParallelConfig(
-        workers=workers if workers > 0 else 1,
-        mode="serial" if workers <= 1 else "auto",
-    )
     if tracer is not None:
         tracer.mark(
             "fuzz.start",
@@ -344,9 +336,9 @@ def run_sharded_campaign(
         with profiler.region(
             "fuzz.execute", seeds=config.seeds, shards=len(ranges)
         ):
-            digests = parallel_map(task_fn, ranges, pool)
+            digests = parallel_map(task_fn, ranges, workers=workers)
     else:
-        digests = parallel_map(task_fn, ranges, pool)
+        digests = parallel_map(task_fn, ranges, workers=workers)
 
     seeds_run = 0
     steps_run = 0

@@ -7,16 +7,18 @@ allows; both heavy artifacts -- exhaustive model checking of every
 protocol mix and the multi-protocol timed-simulation sweeps -- are
 embarrassingly parallel across cases.  This package provides:
 
-* :mod:`repro.perf.pool` -- :func:`parallel_map`: a deterministic
-  process-pool map with per-task timeouts and graceful serial fallback;
-* :mod:`repro.perf.engine` -- the warm persistent worker pool behind it,
-  with chunked batch scheduling (started lazily, reused across calls);
+* :mod:`repro.perf.pool` -- the only module that fans work over worker
+  processes: :func:`parallel_map` (a deterministic map with graceful
+  serial fallback) over one warm persistent pool with chunked batch
+  scheduling, plus the per-task timeout machinery the serve tier uses;
 * :mod:`repro.perf.matrix` -- the verification matrix across workers,
   byte-identical rows to the serial path;
 * :mod:`repro.perf.sweeps` -- the DES experiment sweeps across workers;
 * :mod:`repro.perf.batch` -- the struct-of-arrays batch kernel: N
   independent systems as parallel integer arrays over the compiled
-  transition tables (numpy or pure-Python ``array`` backend);
+  transition tables (numpy or pure-Python ``array`` backend), and
+  :func:`~repro.perf.batch.run_batch_specs`, the one path from batch
+  specs to result rows;
 * :mod:`repro.perf.bench` -- the ``repro bench`` suite: serial-vs-parallel
   wall time, explorer states/sec, batch-kernel throughput, written to
   ``BENCH_perf.json``.
@@ -35,13 +37,14 @@ from repro.perf.batch import (
     verify_rows,
 )
 from repro.perf.bench import run_bench_suite, write_bench_json
-from repro.perf.engine import pool_stats, run_chunked, shutdown_pool
-from repro.perf.matrix import run_batch_matrix, run_matrix_parallel
+from repro.perf.matrix import run_matrix_parallel
 from repro.perf.pool import (
-    ParallelConfig,
     ParallelTimeoutError,
     parallel_map,
+    pool_stats,
     resolve_workers,
+    run_chunked,
+    shutdown_pool,
 )
 from repro.perf.sweeps import (
     batch_protocol_sweep,
@@ -50,12 +53,10 @@ from repro.perf.sweeps import (
 )
 
 __all__ = [
-    "ParallelConfig",
     "ParallelTimeoutError",
     "parallel_map",
     "resolve_workers",
     "run_matrix_parallel",
-    "run_batch_matrix",
     "protocol_comparison_parallel",
     "update_vs_invalidate_parallel",
     "batch_protocol_sweep",

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import time
 from array import array
 from typing import Optional, Sequence
 
@@ -1462,10 +1463,13 @@ def run_batch_specs(
     ``row_events``/``row_transitions`` counters -- are identical to the
     standalone runs, and each spec's report slices straight out.
 
-    Returns one row-list per spec, ordered like ``spec.protocols`` --
-    field-for-field equal to
-    :func:`repro.perf.sweeps.batch_protocol_sweep` minus the wall-clock
-    ``transitions_per_sec`` (a merged run has no per-spec wall time).
+    Returns one row-list per spec, ordered like ``spec.protocols``.
+    This is the only code that turns specs into rows:
+    :func:`repro.perf.sweeps.batch_protocol_sweep` runs one-protocol
+    specs through it on the pool.  Each row's wall-clock
+    ``transitions_per_sec`` is the throughput of the kernel call that
+    produced it -- for a one-protocol spec, that protocol's own run (the
+    serve tier strips the field from payloads).
     """
     chosen = backend or default_backend()
     out: list[list] = [[None] * len(spec.protocols) for spec in specs]
@@ -1499,7 +1503,12 @@ def run_batch_specs(
             row_ids=tuple(range(len(events))),
             geometries=tuple(geoms) if hetero else None,
         )
+        began = time.perf_counter()
         result = run_population(merged, backend=chosen)
+        seconds = time.perf_counter() - began
+        per_sec = (
+            round(result.transitions / seconds, 1) if seconds > 0 else 0.0
+        )
         for si, pi, start, stop in slices:
             out[si][pi] = {
                 "protocol": specs[si].protocols[pi],
@@ -1509,6 +1518,7 @@ def run_batch_specs(
                 "transitions": int(
                     sum(result.row_transitions[start:stop])
                 ),
+                "transitions_per_sec": per_sec,
                 "crashes": sum(
                     1
                     for snapshot in result.snapshots[start:stop]

@@ -346,7 +346,7 @@ def _bench_serve(quick: bool) -> dict:
     side is gated by :func:`regression_report` against the absolute
     :data:`MAX_SERVE_HIT_S` budget -- a hit/miss *ratio* would only
     measure noise, microseconds against tens of milliseconds."""
-    from repro.perf.engine import pool_stats
+    from repro.perf.pool import pool_stats
     from repro.serve.cache import MemoCache
     from repro.serve.jobs import execute_payload
     from repro.specs import ExperimentSpec, WorkloadSpec

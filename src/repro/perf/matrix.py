@@ -14,13 +14,12 @@ builds serially, so ``run_matrix(cases, workers=N)`` is byte-identical to
 
 from __future__ import annotations
 
-import functools
 from typing import Optional, Sequence
 
-from repro.perf.pool import ParallelConfig, parallel_map
+from repro.perf.pool import parallel_map
 from repro.verify.mixes import SUITES, MixCase, matrix_row
 
-__all__ = ["run_batch_matrix", "run_matrix_parallel"]
+__all__ = ["run_matrix_parallel"]
 
 
 def _case_descriptor(case: MixCase, kwargs: dict) -> Optional[tuple]:
@@ -56,7 +55,6 @@ def _run_descriptor(descriptor: tuple) -> dict:
 def run_matrix_parallel(
     cases: Sequence[MixCase],
     workers: Optional[int] = None,
-    task_timeout_s: Optional[float] = None,
     **kwargs,
 ) -> list[dict]:
     """Run the matrix on a process pool; rows in case order.
@@ -66,8 +64,7 @@ def run_matrix_parallel(
     """
     descriptors = [_case_descriptor(case, kwargs) for case in cases]
     pooled = [d for d in descriptors if d is not None]
-    config = ParallelConfig(workers=workers, task_timeout_s=task_timeout_s)
-    pooled_rows = iter(parallel_map(_run_descriptor, pooled, config))
+    pooled_rows = iter(parallel_map(_run_descriptor, pooled, workers=workers))
     rows = []
     for case, descriptor in zip(cases, descriptors):
         if descriptor is None:
@@ -76,78 +73,3 @@ def run_matrix_parallel(
             rows.append(next(pooled_rows))
     return rows
 
-
-# ---------------------------------------------------------------------------
-# Batch-kernel verification matrix (PR 6).
-# ---------------------------------------------------------------------------
-def _batch_matrix_task(
-    rows: int,
-    events_per_row: int,
-    n_units: int,
-    verify_sample: int,
-    backend: Optional[str],
-    task: tuple,
-) -> dict:
-    """One verified batch population; task is ``(spec, seed, geometry)``."""
-    from repro.perf.batch import (
-        BatchGeometry,
-        make_synthetic_population,
-        run_population,
-        verify_rows,
-    )
-
-    spec, seed, geometry = task
-    pop = make_synthetic_population(
-        rows=rows,
-        units=(spec,) * n_units,
-        geometry=BatchGeometry(*geometry),
-        events_per_row=events_per_row,
-        seed=seed,
-    )
-    result = run_population(pop, backend=backend)
-    sample = list(range(min(verify_sample, pop.rows)))
-    mismatches = verify_rows(pop, result, rows=sample)
-    return {
-        "protocol": spec,
-        "backend": result.backend,
-        "rows": result.rows,
-        "transitions": result.transitions,
-        "crashes": sum(
-            1
-            for snapshot in result.snapshots
-            if snapshot["crash"] is not None
-        ),
-        "verified_rows": len(sample),
-        "ok": not mismatches,
-    }
-
-
-def run_batch_matrix(
-    specs: Optional[Sequence[str]] = None,
-    rows: int = 32,
-    events_per_row: int = 60,
-    seed: int = 0,
-    n_units: int = 2,
-    geometry: tuple = (4, 2, 32, 8),
-    verify_sample: int = 2,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-    task_timeout_s: Optional[float] = None,
-) -> list[dict]:
-    """The batch analog of the verification matrix: one population per
-    batchable spec, each kernel run spot-checked row-by-row against the
-    object engine (``verify_sample`` oracle replays per spec).
-
-    Tasks travel as ``(spec, seed, geometry)`` tuples -- nothing
-    object-shaped crosses the chunk protocol."""
-    if specs is None:
-        from repro.perf.batch import batchable_specs
-
-        specs = batchable_specs()
-    config = ParallelConfig(workers=workers, task_timeout_s=task_timeout_s)
-    task_fn = functools.partial(
-        _batch_matrix_task, rows, events_per_row, n_units, verify_sample,
-        backend,
-    )
-    tasks = [(spec, seed, tuple(geometry)) for spec in specs]
-    return parallel_map(task_fn, tasks, config)

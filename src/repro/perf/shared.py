@@ -204,16 +204,33 @@ _ATTACHED: dict = {}  # name -> (SharedMemory, {spec: BatchTables})
 _atexit_registered = False
 
 
-def _untrack(shm) -> None:
-    """Detach an attached-only segment from the resource tracker: the
-    tracker would otherwise unlink it when *this* process exits, yanking
-    the mapping out from under the publisher (bpo-38119)."""
-    try:
-        from multiprocessing import resource_tracker
+def _open_untracked(name: str):
+    """Map an existing segment without registering it with the resource
+    tracker.
 
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker variations
+    Only the publisher may own a segment's tracker entry.  A forked pool
+    worker shares its parent's tracker process, so a worker that
+    registered (or registered and then unregistered) the name would
+    overwrite or erase the publisher's entry: the publisher's unlink then
+    trips a ``KeyError`` in the tracker, and a killed publisher leaks the
+    segment.  (A worker with a tracker of its own would instead unlink
+    the segment when it exits, bpo-38119.)  Python 3.13+ skips registration with ``track=False``;
+    earlier versions register unconditionally in the constructor, so the
+    call is suppressed for its duration (pool workers are
+    single-threaded)."""
+    from multiprocessing import resource_tracker
+    from multiprocessing.shared_memory import SharedMemory
+
+    try:
+        return SharedMemory(name=name, track=False)
+    except TypeError:  # Python < 3.13: no track parameter
         pass
+    register = resource_tracker.register
+    resource_tracker.register = lambda name, rtype: None
+    try:
+        return SharedMemory(name=name)
+    finally:
+        resource_tracker.register = register
 
 
 def _cleanup() -> None:
@@ -250,18 +267,12 @@ def attach_tables(name: str, seed_kernel_cache: bool = True) -> dict:
     probing, no pickled tables on the task wire."""
     cached = _ATTACHED.get(name)
     if cached is None:
-        from multiprocessing.shared_memory import SharedMemory
-
         if name in _PUBLISHED:
             shm = _PUBLISHED[name]
             tables = unpack_tables(shm.buf)
             cached = (None, tables)  # publisher keeps its own handle
         else:
-            try:
-                shm = SharedMemory(name=name, track=False)
-            except TypeError:  # Python < 3.13: no track parameter
-                shm = SharedMemory(name=name)
-                _untrack(shm)
+            shm = _open_untracked(name)
             tables = unpack_tables(shm.buf)
             cached = (shm, tables)
         _ATTACHED[name] = cached

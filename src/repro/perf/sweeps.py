@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import time
 from typing import Optional, Sequence
 
 from repro.analysis.compare import (
@@ -25,7 +24,9 @@ from repro.analysis.compare import (
     heterogeneous_row,
     update_vs_invalidate_row,
 )
-from repro.perf.pool import ParallelConfig, parallel_map
+from repro.perf.batch import batchable_specs, run_batch_specs
+from repro.perf.pool import parallel_map
+from repro.specs import BatchSpec
 from repro.workloads.synthetic import SyntheticConfig, SyntheticWorkload
 from repro.workloads.trace import Trace
 
@@ -83,7 +84,6 @@ def protocol_comparison_parallel(
     protocols: Sequence[str] = DEFAULT_PROTOCOLS,
     timed: bool = True,
     workers: Optional[int] = None,
-    task_timeout_s: Optional[float] = None,
     traced: bool = False,
     profiler=None,
     recipe: Optional[tuple] = None,
@@ -95,7 +95,6 @@ def protocol_comparison_parallel(
     path produces, for order-preserving absorption by the caller.  A
     ``recipe`` (see :func:`synthetic_trace_recipe`) replaces the pickled
     trace on the wire; tasks are then bare protocol spec strings."""
-    config = ParallelConfig(workers=workers, task_timeout_s=task_timeout_s)
     trace_ref = recipe if recipe is not None else trace
     if trace_ref is None:
         raise ValueError("need a trace or a recipe")
@@ -104,7 +103,9 @@ def protocol_comparison_parallel(
         trace_ref,
         timed,
     )
-    return parallel_map(task_fn, list(protocols), config, profiler=profiler)
+    return parallel_map(
+        task_fn, list(protocols), workers=workers, profiler=profiler
+    )
 
 
 def _update_vs_invalidate_task(
@@ -119,15 +120,13 @@ def update_vs_invalidate_parallel(
     seed: int = 11,
     processors: int = 4,
     workers: Optional[int] = None,
-    task_timeout_s: Optional[float] = None,
 ) -> list[dict]:
     """E3 with one pooled task per sharing level (tasks are bare floats;
     the fixed sweep parameters ride on the task function)."""
-    config = ParallelConfig(workers=workers, task_timeout_s=task_timeout_s)
     task_fn = functools.partial(
         _update_vs_invalidate_task, references, seed, processors
     )
-    return parallel_map(task_fn, list(sharing_levels), config)
+    return parallel_map(task_fn, list(sharing_levels), workers=workers)
 
 
 def _heterogeneous_task(trace_ref, label: str) -> dict:
@@ -139,43 +138,31 @@ def _heterogeneous_task(trace_ref, label: str) -> dict:
 def heterogeneous_parallel(
     trace: Optional[Trace],
     workers: Optional[int] = None,
-    task_timeout_s: Optional[float] = None,
     recipe: Optional[tuple] = None,
 ) -> list[dict]:
     """E8 with one pooled task per board mix (tasks are mix labels; the
     worker rebuilds the mix from :data:`HETEROGENEOUS_MIXES`)."""
-    config = ParallelConfig(workers=workers, task_timeout_s=task_timeout_s)
     trace_ref = recipe if recipe is not None else trace
     if trace_ref is None:
         raise ValueError("need a trace or a recipe")
     task_fn = functools.partial(_heterogeneous_task, trace_ref)
-    return parallel_map(task_fn, list(HETEROGENEOUS_MIXES), config)
+    return parallel_map(task_fn, list(HETEROGENEOUS_MIXES), workers=workers)
 
 
 # ---------------------------------------------------------------------------
-# Batch-kernel population sweep (PR 6).
+# Batch-kernel population sweep.
 # ---------------------------------------------------------------------------
 def _batch_task(
-    rows: int,
-    events_per_row: int,
-    n_units: int,
-    backend: Optional[str],
-    tables_shm: Optional[str],
-    task: tuple,
+    backend: Optional[str], tables_shm: Optional[str], spec: BatchSpec
 ) -> dict:
-    """One pooled batch run; the task is ``(spec, seed, geometry)`` --
-    a spec string plus integers, nothing object-shaped on the wire.
+    """One pooled batch run; the task is a one-protocol
+    :class:`~repro.specs.BatchSpec` -- a spec string plus integers,
+    nothing object-shaped on the wire.
 
     ``tables_shm`` names the parent's shared-memory tables segment; the
     worker attaches once (memoized per process) and seeds the lowering
     cache from the mapping, so no worker ever re-derives -- or receives
     a pickled copy of -- the compiled transition tables."""
-    from repro.perf.batch import (
-        BatchGeometry,
-        make_synthetic_population,
-        run_population,
-    )
-
     if tables_shm is not None:
         from repro.perf.shared import attach_tables
 
@@ -183,32 +170,7 @@ def _batch_task(
             attach_tables(tables_shm)
         except Exception:
             pass  # segment gone or unsupported: lower directly below
-
-    spec, seed, geometry = task
-    pop = make_synthetic_population(
-        rows=rows,
-        units=(spec,) * n_units,
-        geometry=BatchGeometry(*geometry),
-        events_per_row=events_per_row,
-        seed=seed,
-    )
-    start = time.perf_counter()
-    result = run_population(pop, backend=backend)
-    seconds = time.perf_counter() - start
-    crashes = sum(
-        1 for snapshot in result.snapshots if snapshot["crash"] is not None
-    )
-    return {
-        "protocol": spec,
-        "backend": result.backend,
-        "rows": result.rows,
-        "events": result.events,
-        "transitions": result.transitions,
-        "transitions_per_sec": round(result.transitions / seconds, 1)
-        if seconds > 0
-        else 0.0,
-        "crashes": crashes,
-    }
+    return run_batch_specs([spec], backend=backend)[0][0]
 
 
 def batch_protocol_sweep(
@@ -220,31 +182,35 @@ def batch_protocol_sweep(
     geometry: tuple = (4, 2, 32, 8),
     backend: Optional[str] = None,
     workers: Optional[int] = None,
-    task_timeout_s: Optional[float] = None,
 ) -> list[dict]:
     """One batch-kernel population per protocol, fanned over the pool.
 
     ``protocols`` defaults to every registry spec the lowering accepts
-    (:func:`repro.perf.batch.batchable_specs`).  Each task ships as a
-    ``(spec, seed, geometry)`` tuple; the worker synthesizes the
-    population and runs the struct-of-arrays kernel over it."""
+    (:func:`repro.perf.batch.batchable_specs`).  Each task is a
+    one-protocol copy of the sweep's spec, run through
+    :func:`repro.perf.batch.run_batch_specs` in the worker."""
     if protocols is None:
-        from repro.perf.batch import batchable_specs
-
         protocols = batchable_specs()
-    config = ParallelConfig(workers=workers, task_timeout_s=task_timeout_s)
     from repro.perf.shared import publish_tables, unlink_tables
 
     try:
         tables_shm = publish_tables(list(protocols))
     except Exception:
         tables_shm = None  # no shared memory here: workers lower directly
-    task_fn = functools.partial(
-        _batch_task, rows, events_per_row, n_units, backend, tables_shm
-    )
-    tasks = [(spec, seed, tuple(geometry)) for spec in protocols]
+    task_fn = functools.partial(_batch_task, backend, tables_shm)
+    tasks = [
+        BatchSpec(
+            protocols=(protocol,),
+            rows=rows,
+            events_per_row=events_per_row,
+            seed=seed,
+            n_units=n_units,
+            geometry=tuple(geometry),
+        )
+        for protocol in protocols
+    ]
     try:
-        return parallel_map(task_fn, tasks, config)
+        return parallel_map(task_fn, tasks, workers=workers)
     finally:
         if tables_shm is not None:
             unlink_tables(tables_shm)

@@ -13,8 +13,12 @@ jobs and:
 * **coalescing** concurrent identical requests into one in-flight
   computation (single-flight);
 * **multiplexing** distinct jobs onto the warm worker pool through
-  :func:`repro.perf.engine.dispatch_one`, which enforces per-request
+  :func:`repro.perf.pool.dispatch_one`, which enforces per-request
   deadlines with the pool's per-task timeout machinery;
+* **batching** compatible batch sweeps that arrive within an admission
+  window into one pool job (:func:`repro.serve.jobs.dispatch_batch_job`)
+  that runs :func:`repro.perf.batch.run_batch_specs` -- the same path a
+  local ``execute`` of a batch spec takes;
 * applying **bounded-queue back-pressure**: a saturated daemon answers
   ``{"ok": false, "error": "busy", "retry_after": ...}`` instead of
   growing an unbounded queue;

@@ -81,10 +81,10 @@ def dispatch_job(
 ) -> dict:
     """Run one job on the warm pool with a per-request deadline.
 
-    Raises :class:`repro.perf.engine.ParallelTimeoutError` when the job
+    Raises :class:`repro.perf.pool.ParallelTimeoutError` when the job
     overruns ``deadline_s`` (the stuck worker is terminated and the pool
     invalidated, so one runaway request cannot wedge the daemon)."""
-    from repro.perf.engine import dispatch_one
+    from repro.perf.pool import dispatch_one
 
     return dispatch_one(
         execute_payload, canonical, timeout_s=deadline_s, workers=workers
@@ -105,7 +105,7 @@ def dispatch_batch_job(
     names the daemon's epoch-published shared-tables segment
     (:func:`repro.perf.shared.tables_for_epoch`) so the worker attaches
     the lowered tables zero-copy instead of re-probing protocols."""
-    from repro.perf.engine import dispatch_one, note_batch_dispatch
+    from repro.perf.pool import dispatch_one, note_batch_dispatch
 
     note_batch_dispatch(len(canonicals))
     return dispatch_one(

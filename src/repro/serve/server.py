@@ -18,7 +18,7 @@ never unbounded growth.
 Dispatch runs the blocking pool call on the loop's default thread-pool
 executor, so the event loop keeps serving status requests and cache
 hits while jobs compute.  Deadlines ride the pool's per-task timeout
-machinery (:func:`repro.perf.engine.dispatch_one`): an overrun job's
+machinery (:func:`repro.perf.pool.dispatch_one`): an overrun job's
 workers are terminated, the daemon answers
 ``{"ok": false, "error": "deadline"}``, and the next job gets a fresh
 pool.
@@ -282,7 +282,7 @@ class ReproServer:
         await writer.drain()
 
     def _status_data(self) -> dict:
-        from repro.perf.engine import pool_stats
+        from repro.perf.pool import pool_stats
 
         counters = dict(self.counters)
         populations = counters["populations"]
@@ -427,7 +427,7 @@ class ReproServer:
 
     async def _compute(self, canonical: str, deadline, key: str) -> tuple:
         """Dispatch one admitted job; returns an outcome tuple."""
-        from repro.perf.engine import ParallelTimeoutError
+        from repro.perf.pool import ParallelTimeoutError
 
         assert self._semaphore is not None, "start() first"
         async with self._semaphore:
@@ -508,7 +508,7 @@ class ReproServer:
     async def _execute_batch(self, batch: _PendingBatch) -> None:
         """Seal a population: drop expired rows, run the rest as one
         coalesced pool job, de-multiplex per-row outcomes."""
-        from repro.perf.engine import ParallelTimeoutError
+        from repro.perf.pool import ParallelTimeoutError
 
         loop = asyncio.get_running_loop()
         now = loop.time()

@@ -189,7 +189,6 @@ def matrix_row(case: MixCase, result: ExplorationResult) -> dict:
 def run_matrix(
     cases: Sequence[MixCase],
     workers: Optional[int] = None,
-    task_timeout_s: Optional[float] = None,
     tracer=None,
     profiler=None,
     **kwargs,
@@ -207,10 +206,7 @@ def run_matrix(
         if workers is not None and workers > 1:
             from repro.perf.matrix import run_matrix_parallel
 
-            return run_matrix_parallel(
-                cases, workers=workers, task_timeout_s=task_timeout_s,
-                **kwargs,
-            )
+            return run_matrix_parallel(cases, workers=workers, **kwargs)
         return [matrix_row(case, case.run(**kwargs)) for case in cases]
 
     if profiler is not None:

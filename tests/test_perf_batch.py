@@ -283,15 +283,33 @@ class TestSweepEntryPoints:
             assert row["transitions"] > 0
             assert row["backend"] in available_backends()
 
-    def test_batch_matrix_verifies(self):
-        from repro.perf.matrix import run_batch_matrix
+    def test_batch_rows_golden_at_any_worker_count(self, monkeypatch):
+        """Rows minus the wall-clock column are fixed values, equal at
+        one worker and on the pool (the cutover is forced to zero, so the
+        two-worker run really fans out: one pool map)."""
+        import repro.perf.pool as pool_mod
+        from repro.api import execute, plan
 
-        rows = run_batch_matrix(
-            specs=("moesi", "non-caching"), rows=4, events_per_row=25,
-            workers=0,
-        )
-        assert all(row["ok"] for row in rows)
-        assert all(row["verified_rows"] == 2 for row in rows)
+        golden = [
+            {"protocol": "moesi", "rows": 8, "events": 400,
+             "transitions": 527, "crashes": 0},
+            {"protocol": "illinois", "rows": 8, "events": 400,
+             "transitions": 605, "crashes": 0},
+            {"protocol": "dragon", "rows": 8, "events": 400,
+             "transitions": 592, "crashes": 0},
+        ]
+        for row in golden:
+            row["backend"] = default_backend()
+        spec = plan("batch", protocols=("moesi", "illinois", "dragon"),
+                    rows=8, events_per_row=50)
+        monkeypatch.setattr(pool_mod.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(pool_mod, "ADAPTIVE_CUTOVER_S", 0.0)
+        for workers, maps in ((1, 0), (2, 1)):
+            before = pool_mod.pool_stats()["maps"]
+            rows = execute(spec, workers=workers)
+            assert pool_mod.pool_stats()["maps"] == before + maps
+            assert all(row.pop("transitions_per_sec") >= 0 for row in rows)
+            assert rows == golden, workers
 
     def test_api_facade(self):
         from repro.api import execute, plan

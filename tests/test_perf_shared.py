@@ -6,9 +6,20 @@ from the protocol, for every batchable registry spec; attaching a
 segment seeds the kernel's lowering cache so workers never probe a
 protocol; and toggling ``set_fast_tables`` after the warm pool forked
 restarts the pool instead of reusing workers that froze the old setting.
+A worker that attaches a segment never touches the publisher's
+resource-tracker entry, so the tracker still reclaims the segment when
+the publisher dies.
 """
 
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.core.transitions import (
     BatchTables,
@@ -101,22 +112,87 @@ class TestPoolEpochRefresh:
             set_fast_tables(previous)
 
     def test_warm_pool_restarts_after_toggle(self):
-        from repro.perf import engine
+        from repro.perf import pool
 
         original = set_fast_tables(True)  # pin, so the flip below changes
         try:
             try:
-                executor = engine.get_executor(1)
+                executor = pool.get_executor(1)
             except (OSError, ValueError):
                 pytest.skip("process pools unavailable in this sandbox")
-            assert engine.get_executor(1) is executor  # warm reuse
-            before = engine.pool_stats()["pool_refreshes"]
+            assert pool.get_executor(1) is executor  # warm reuse
+            before = pool.pool_stats()["pool_refreshes"]
             set_fast_tables(False)  # guaranteed effective change
-            refreshed = engine.get_executor(1)
+            refreshed = pool.get_executor(1)
             assert refreshed is not executor
-            assert engine.pool_stats()["pool_refreshes"] == before + 1
+            assert pool.pool_stats()["pool_refreshes"] == before + 1
             # Same epoch again: the fresh pool is reusable.
-            assert engine.get_executor(1) is refreshed
+            assert pool.get_executor(1) is refreshed
         finally:
             set_fast_tables(original)
-            engine.shutdown_pool(wait=False)
+            pool.shutdown_pool(wait=False)
+
+
+#: Publish a segment, attach it from a pool worker forked *before* the
+#: publish (a warm pool: it shares this process's resource tracker but
+#: not its table of published segments), then unlink -- or wait to be
+#: killed when argv[1] is "kill".
+_PUBLISHER = """
+import concurrent.futures, functools, multiprocessing, sys, time
+from multiprocessing import resource_tracker
+from repro.perf import shared
+
+resource_tracker.ensure_running()
+executor = concurrent.futures.ProcessPoolExecutor(
+    1, mp_context=multiprocessing.get_context("fork")
+)
+executor.submit(int).result()
+name = shared.publish_tables(["moesi"])
+executor.submit(
+    functools.partial(shared.attach_tables, name, seed_kernel_cache=False)
+).result()
+executor.shutdown(wait=True)
+print(name, flush=True)
+if sys.argv[1] == "kill":
+    time.sleep(60)
+shared.unlink_tables(name)
+"""
+
+
+def _publisher(mode: str) -> subprocess.Popen:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(repro.__file__).parents[1]),
+                      env.get("PYTHONPATH")])
+    )
+    return subprocess.Popen(
+        [sys.executable, "-c", _PUBLISHER, mode],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/dev/shm") or sys.platform != "linux",
+    reason="needs fork and POSIX shared memory under /dev/shm",
+)
+class TestTrackerOwnership:
+    def test_publisher_unlink_after_worker_attach_is_clean(self):
+        # stderr stays open until the tracker exits, so communicate()
+        # also collects anything the tracker prints on the way out.
+        _, err = _publisher("unlink").communicate(timeout=60)
+        assert "KeyError" not in err, err
+
+    def test_killed_publisher_segment_is_reclaimed(self):
+        proc = _publisher("kill")
+        name = proc.stdout.readline().strip()
+        assert name, proc.communicate(timeout=60)[1]
+        proc.send_signal(signal.SIGKILL)
+        proc.communicate(timeout=60)  # the tracker has exited too
+        leftover = Path("/dev/shm") / name.lstrip("/")
+        leaked = leftover.exists()
+        if leaked:
+            leftover.unlink()
+        assert not leaked, f"{name} outlived its killed publisher"

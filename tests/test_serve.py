@@ -19,7 +19,7 @@ import pytest
 
 from repro.api import execute, plan
 from repro.obs.stream import metrics_frame, reassemble_trace, trace_frames
-from repro.perf.engine import ParallelTimeoutError
+from repro.perf.pool import ParallelTimeoutError
 from repro.serve import MemoCache, ReproServer, ServeClient, ServeConfig
 from repro.serve.jobs import execute_payload
 from repro.serve.protocol import payload_for

@@ -17,8 +17,14 @@ import threading
 import pytest
 
 import repro.perf.batch as batch_mod
-from repro.api import execute, execute_many, plan
-from repro.perf.batch import available_backends, run_batch_specs
+from repro.api import execute, plan
+from repro.perf.batch import (
+    BatchGeometry,
+    available_backends,
+    make_synthetic_population,
+    run_batch_specs,
+    run_population,
+)
 from repro.serve import ReproServer, ServeClient, ServeConfig
 from repro.serve.jobs import execute_batch_payloads, execute_payload
 from repro.serve.protocol import payload_for, payload_json
@@ -95,6 +101,29 @@ class TestContentHashCache:
 # run_batch_specs: the coalesced kernel entry point.
 # ----------------------------------------------------------------------
 class TestRunBatchSpecs:
+    @staticmethod
+    def standalone_row(spec, protocol, backend):
+        """The independent reference: one population per (spec,
+        protocol), synthesized and run on its own -- no merging."""
+        pop = make_synthetic_population(
+            rows=spec.rows,
+            units=(protocol,) * spec.n_units,
+            geometry=BatchGeometry(*spec.geometry),
+            events_per_row=spec.events_per_row,
+            seed=spec.seed,
+        )
+        result = run_population(pop, backend=backend)
+        return {
+            "protocol": protocol,
+            "backend": result.backend,
+            "rows": result.rows,
+            "events": result.events,
+            "transitions": result.transitions,
+            "crashes": sum(
+                1 for snap in result.snapshots if snap["crash"] is not None
+            ),
+        }
+
     @pytest.mark.parametrize("backend", available_backends())
     def test_merged_rows_match_per_spec_execution(self, backend):
         specs = [
@@ -105,28 +134,11 @@ class TestRunBatchSpecs:
         ]
         merged = run_batch_specs(specs, backend=backend)
         for spec, rows in zip(specs, merged):
-            expected = payload_for(spec, execute(
-                spec, workers=1, backend=backend))
-            assert payload_json(payload_for(spec, rows)) == payload_json(
-                expected
-            )
-
-
-# ----------------------------------------------------------------------
-# api.execute_many (in-process face of the batching path).
-# ----------------------------------------------------------------------
-class TestExecuteMany:
-    def test_mixed_list_matches_one_at_a_time(self):
-        specs = [
-            batch_spec(seed=3),
-            plan("experiment", protocol="dragon", references=80, seed=5),
-            batch_spec(seed=4),
-        ]
-        results = execute_many(specs)
-        for spec, result in zip(specs, results):
-            assert payload_json(payload_for(spec, result)) == payload_json(
-                direct_payload(spec)
-            )
+            assert all(row.pop("transitions_per_sec") >= 0 for row in rows)
+            assert rows == [
+                self.standalone_row(spec, protocol, backend)
+                for protocol in spec.protocols
+            ]
 
 
 # ----------------------------------------------------------------------
