@@ -67,10 +67,8 @@ def test_two_line_eviction_coupling(benchmark, save_artifact):
     """Strengthened E1: two line addresses aliasing one cache frame, so
     capacity evictions and write-backs enter the explored space.  The
     full relaxation closure remains consistent, exhaustively."""
-    from repro.verify.explorer import Explorer
-
     result = benchmark.pedantic(
-        lambda: Explorer(["full-class", "full-class"], lines=2).run(),
+        lambda: explore(["full-class", "full-class"], lines=2),
         rounds=1, iterations=1,
     )
     assert result.consistent and result.complete

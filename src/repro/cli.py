@@ -325,7 +325,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print(
         format_rows(
             report["explorer"],
-            "Explorer hot path (single worker, exhaustive)",
+            "Object-explorer baseline (single worker, exhaustive; "
+            "the compiled search's oracle)",
         )
     )
     section_rows = []

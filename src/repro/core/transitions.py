@@ -916,15 +916,20 @@ def lower_batch_tables(protocol):
         UpdatePolicy,
     )
 
-    policy = getattr(protocol, "policy", None)
-    if policy is not None and not isinstance(
-        policy, (PreferredPolicy, InvalidatePolicy, UpdatePolicy)
-    ):
-        return None
-    if getattr(protocol, "_rng", None) is not None:
-        return None
-    if getattr(protocol, "rng", None) is not None:
-        return None
+    # A wrapper (a ProtocolMutant) consults its ``base`` for every cell it
+    # does not override, so the base's selector counts as its own.
+    layer = protocol
+    while layer is not None:
+        policy = getattr(layer, "policy", None)
+        if policy is not None and not isinstance(
+            policy, (PreferredPolicy, InvalidatePolicy, UpdatePolicy)
+        ):
+            return None
+        if getattr(layer, "_rng", None) is not None:
+            return None
+        if getattr(layer, "rng", None) is not None:
+            return None
+        layer = getattr(layer, "base", None)
 
     local_ctxs, snoop_ctxs = _probe_contexts()
     local = []

@@ -20,13 +20,9 @@ differential testing:
   :func:`repro.perf.pool.parallel_map`, byte-reproducible at any worker
   count;
 * :mod:`repro.fuzz.replay` -- ``.json`` repro files and their verbatim
-  re-execution (``repro fuzz --replay``);
-* :mod:`repro.fuzz.batchrun` -- the same seed scenarios routed through
-  the struct-of-arrays batch kernel where the lowering allows, with the
-  object engine replaying sampled rows as a differential oracle.
+  re-execution (``repro fuzz --replay``).
 """
 
-from repro.fuzz.batchrun import BatchCampaignReport, run_batch_campaign
 from repro.fuzz.campaign import CampaignConfig, CampaignReport, run_campaign
 from repro.fuzz.replay import load_repro, replay_file, write_repro
 from repro.fuzz.runner import (
@@ -48,8 +44,6 @@ from repro.fuzz.scenario import (
 from repro.fuzz.shrink import shrink_scenario
 
 __all__ = [
-    "BatchCampaignReport",
-    "run_batch_campaign",
     "CampaignConfig",
     "CampaignReport",
     "run_campaign",

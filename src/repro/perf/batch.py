@@ -278,6 +278,11 @@ class _Kernel:
         self.cached_units = [
             u for u in range(self.U) if not self.non_caching[u]
         ]
+        #: Per master unit: the units that snoop its transactions.
+        self.snoopers = [
+            tuple(v for v in self.cached_units if v != u)
+            for u in range(self.U)
+        ]
         self.bus_code = bus_event_code_table()
         # Per-row simulated geometry (== the envelope when homogeneous).
         if pop.geometries is None:
@@ -371,12 +376,11 @@ class _Kernel:
         Padded ways stay INVALID forever, so scanning the envelope width
         is safe for heterogeneous rows."""
         tag, set_index = divmod(la, self.S_r[r])
-        base = self._base(r, u, set_index)
+        base = ((r * self.U + u) * self.S + set_index) * self.W
         st, tg = self.st, self.tg
-        for way in range(self.W):
-            i = base + way
+        for i in range(base, base + self.W):
             if tg[i] == tag and st[i] != _INVALID:
-                return set_index, way, i
+                return set_index, i - base, i
         return None
 
     def _touch(self, r: int, u: int, set_index: int, way: int) -> None:
@@ -430,7 +434,7 @@ class _Kernel:
         txn_serial = int(self.serial[r])
         bc_eff = 1 if (bc and im) else 0
         ev_code = self.bus_code[ca * 4 + im * 2 + bc_eff]
-        snoopers = [u for u in self.cached_units if u != master_u]
+        snoopers = self.snoopers[master_u]
         pend_row = self.pend[r]
         retries = 0
         while True:
@@ -670,32 +674,41 @@ class _Kernel:
         self._run_local_action(r, u, la, 2, rec, None)
 
     # -- one scheduled event --------------------------------------------
+    def run_event(self, r, unit, kind, la):
+        """One scheduled event without the skip rule: an inapplicable
+        event raises ``_Illegal`` (partial effects persist), a crash
+        ``_RowCrash``.  Returns the token a read observes, else None.
+        The compiled explorer (:mod:`repro.verify.compiled`) steps its
+        one-row population through here."""
+        if kind == _K_READ:
+            if self.non_caching[unit]:
+                return self._nc_read(r, unit, la)
+            return self._proc_read(r, unit, la)
+        if kind == _K_WRITE:
+            # System.write allocates the version token *before* the
+            # controller runs; a skipped event still burns a token.
+            self.vctr[r] += 1
+            token = int(self.vctr[r])
+            if self.non_caching[unit]:
+                self._nc_write(r, unit, la, token)
+            else:
+                self._proc_write(r, unit, la, token)
+            self.lastv[r * self.L + la] = token
+        elif self.non_caching[unit]:
+            pass  # replacement traffic skips cacheless boards
+        elif kind == _K_FLUSH:
+            self._flush_line(r, unit, la)
+        else:
+            self._clean_line(r, unit, la)
+        return None
+
     def step_event(self, r, unit, kind, la):
         try:
-            if kind == _K_READ:
-                if self.non_caching[unit]:
-                    token = self._nc_read(r, unit, la)
-                else:
-                    token = self._proc_read(r, unit, la)
-                self._emit_token(r, token)
-            elif kind == _K_WRITE:
-                # System.write allocates the version token *before* the
-                # controller runs; a skipped event still burns a token.
-                self.vctr[r] += 1
-                token = int(self.vctr[r])
-                if self.non_caching[unit]:
-                    self._nc_write(r, unit, la, token)
-                else:
-                    self._proc_write(r, unit, la, token)
-                self.lastv[r * self.L + la] = token
-            elif self.non_caching[unit]:
-                return  # replacement traffic skips cacheless boards
-            elif kind == _K_FLUSH:
-                self._flush_line(r, unit, la)
-            else:
-                self._clean_line(r, unit, la)
+            token = self.run_event(r, unit, kind, la)
         except _Illegal:
             return  # inapplicable event: skip, partial effects persist
+        if kind == _K_READ:
+            self._emit_token(r, token)
 
     # -- drivers ---------------------------------------------------------
     def run(self) -> None:

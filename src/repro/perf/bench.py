@@ -4,8 +4,9 @@ throughput, written to ``BENCH_perf.json``.
 The suite is fixed so successive PRs can track the trajectory:
 
 * **explorer** -- single-worker exhaustive exploration of canonical
-  mixes; reports states/sec (the hot-path metric the in-process
-  optimisations move);
+  mixes on the *object* :class:`~repro.verify.explorer.Explorer`, the
+  oracle of the compiled search ``explore()`` runs; reports states/sec
+  and is the per-object baseline the batch gate multiplies;
 * **matrix** -- the full E1 compatibility matrix, serial then pooled;
 * **des** -- the E2 protocol-comparison sweep, serial then pooled;
 * **obs** -- observability overhead: the same heterogeneous run driven
@@ -116,8 +117,10 @@ def _calibration_kernel(n: int = _CALIBRATION_N) -> int:
 
 
 def _bench_explorer(quick: bool) -> tuple[list[dict], float]:
-    """Time the explorer mixes; returns ``(rows, calibration_ops_per_sec)``
-    with the calibration kernel interleaved between exploration runs."""
+    """Time the explorer mixes on the object engine (not the compiled
+    search ``explore()`` picks: these rows are the per-object baseline);
+    returns ``(rows, calibration_ops_per_sec)`` with the calibration
+    kernel interleaved between exploration runs."""
     from repro.verify.explorer import Explorer
 
     mixes = EXPLORER_MIXES[:1] if quick else EXPLORER_MIXES

@@ -363,6 +363,7 @@ class Explorer:
     ) -> None:
         #: Optional :class:`repro.obs.profile.Profiler` timing the search.
         self.profiler = profiler
+        self.specs = tuple(protocol_specs)
         self.chooser = ScriptedChooser()
         protocols = [
             _resolve_protocol(spec, self.chooser) for spec in protocol_specs
@@ -533,15 +534,7 @@ class Explorer:
     # ------------------------------------------------------------------
     def run(self) -> ExplorationResult:
         """Breadth-first search over canonical states."""
-        if self.profiler is None:
-            return self._run_search()
-        with self.profiler.region(
-            "explorer.frontier", label=self.label
-        ) as meta:
-            result = self._run_search()
-            meta["states"] = result.states_explored
-            meta["transitions"] = result.transitions_taken
-        return result
+        return _timed_search(self.profiler, self.label, self._run_search)
 
     def _run_search(self) -> ExplorationResult:
         initial = self._snapshot()
@@ -574,12 +567,8 @@ class Explorer:
                         step_error = self._run_step(step)
                     except _SkipStep:
                         break  # applicability is choice-independent
-                    arities = tuple(self.chooser.arities)
-                    taken = script + (0,) * (len(arities) - len(script))
+                    taken = _branch(script, self.chooser.arities, pending)
                     step = _Step(unit, kind, taken, address)
-                    for pos in range(len(script), len(arities)):
-                        for index in range(1, arities[pos]):
-                            pending.append(taken[:pos] + (index,))
                     transitions += 1
                     if step_error is not None:
                         violations.append(
@@ -591,6 +580,8 @@ class Explorer:
                     if signature not in seen:
                         seen.add(signature)
                         frontier.append((new_snapshot, path + (step,)))
+        #: The canonical signatures of every reached state.
+        self.signatures = seen
         return ExplorationResult(
             label=self.label,
             states_explored=len(seen),
@@ -604,15 +595,49 @@ class _SkipStep(Exception):
     """Internal: the step does not apply in the current state."""
 
 
+def _timed_search(profiler, label: str, search) -> ExplorationResult:
+    """Run ``search()``, inside an ``explorer.frontier`` profiler region
+    carrying its state and transition counts when a profiler is set."""
+    if profiler is None:
+        return search()
+    with profiler.region("explorer.frontier", label=label) as meta:
+        result = search()
+        meta["states"] = result.states_explored
+        meta["transitions"] = result.transitions_taken
+    return result
+
+
+def _branch(script: tuple, arities: Sequence[int], pending: list) -> tuple:
+    """One run of a step under ``script`` logged ``arities``: push every
+    sibling script that branches at a choice point past the script onto
+    ``pending``; return the full script the run took (zeros beyond
+    ``script``)."""
+    taken = script + (0,) * (len(arities) - len(script))
+    for pos in range(len(script), len(arities)):
+        for index in range(1, arities[pos]):
+            pending.append(taken[:pos] + (index,))
+    return taken
+
+
 def explore(
     protocol_specs: Sequence[ProtocolSpec],
     label: Optional[str] = None,
     **kwargs,
 ) -> ExplorationResult:
-    """Convenience wrapper: build an :class:`Explorer` and run it.
+    """Build an :class:`Explorer` and run its search.
 
     ``protocol_specs`` entries are registry names, the special names
     ``"full-class"`` / ``"moesi-scripted"`` (explored over *all* their
     permitted choices), or callables taking the shared chooser.
+
+    When every unit lowers to integer tables the search runs compiled
+    (:mod:`repro.verify.compiled`): the same states, transitions and
+    violations at a fraction of the cost.  Otherwise -- a protocol that
+    selects actions statefully, or a callable other than a shipped
+    mutant -- the object search runs.
     """
-    return Explorer(protocol_specs, label=label, **kwargs).run()
+    from repro.verify.compiled import CompiledExplorer
+
+    explorer = Explorer(protocol_specs, label=label, **kwargs)
+    compiled = CompiledExplorer.lower(explorer)
+    return (explorer if compiled is None else compiled).run()

@@ -75,11 +75,18 @@ class ProtocolMutant(Protocol):
     partner_spec: str = "moesi"
 
     def __init__(self, base: Optional[Protocol] = None) -> None:
-        self.base = base or MoesiProtocol()
+        #: Built on the class's own default base: the mutant's cells are
+        #: then a function of its class alone.
+        self.stock = base is None
+        self.base = base or self.default_base()
         self.name = f"{type(self).__name__}({self.base.name})"
         self.kind = self.base.kind
         self.states = self.base.states
         self.requires_busy = self.base.requires_busy
+
+    @staticmethod
+    def default_base() -> Protocol:
+        return MoesiProtocol()
 
     def local_action(self, state, event, ctx: Optional[LocalContext] = None):
         override = self.local_overrides.get((state, event))
@@ -166,14 +173,12 @@ class AdaptiveRetainWithoutConnectMutant(ProtocolMutant):
         ),
     }
 
-    def __init__(self, base: Optional[Protocol] = None) -> None:
+    @staticmethod
+    def default_base() -> Protocol:
         from repro.core.policy import ThresholdAdaptivePolicy
 
-        super().__init__(
-            base
-            or MoesiProtocol(
-                ThresholdAdaptivePolicy(), name="MOESI(adaptive-threshold)"
-            )
+        return MoesiProtocol(
+            ThresholdAdaptivePolicy(), name="MOESI(adaptive-threshold)"
         )
 
 
@@ -190,10 +195,11 @@ class MesifStaleForwardMutant(ProtocolMutant):
         ),
     }
 
-    def __init__(self, base: Optional[Protocol] = None) -> None:
+    @staticmethod
+    def default_base() -> Protocol:
         from repro.protocols.mesif import MesifProtocol
 
-        super().__init__(base or MesifProtocol())
+        return MesifProtocol()
 
 
 ALL_MUTANTS = (

@@ -10,7 +10,6 @@ schedules; hypothesis then fuzzes the population shape itself.
 
 import pytest
 
-from repro.fuzz.batchrun import run_batch_campaign
 from repro.fuzz.scenario import generate_scenario
 from repro.perf.batch import (
     EVENT_KIND_CODES,
@@ -225,48 +224,82 @@ class TestHeterogeneousPopulations:
                 assert result.scalar_residual == 1.0
 
 
-class TestShardedBatchCampaign:
-    """Seed-range sharding must never leak into the report."""
-
-    @pytest.mark.parametrize("shards", [2, 8])
-    def test_shard_count_invariant(self, shards):
-        base = run_batch_campaign(seeds=40, oracle_sample=1, shards=1)
-        got = run_batch_campaign(seeds=40, oracle_sample=1, shards=shards)
-        assert got.summary_json() == base.summary_json()
-
-    def test_pooled_shards_match_serial(self):
-        base = run_batch_campaign(seeds=24, oracle_sample=1, shards=1)
-        got = run_batch_campaign(
-            seeds=24, oracle_sample=1, shards=4, workers=2
+def _scenario_populations(seeds: int) -> tuple[list, int]:
+    """Fuzz scenarios for seeds ``0 .. seeds - 1`` as kernel populations:
+    scenarios whose units all lower, grouped by unit mix into padded
+    populations with each scenario's own geometry per row.  Returns the
+    populations and the number of scenarios left to the object engine
+    (seeded choice specs, injected bugs, stateful selectors)."""
+    groups: dict[tuple, list] = {}
+    skipped = 0
+    for seed in range(seeds):
+        scenario = generate_scenario(seed)
+        try:
+            if any(":" in spec for spec in scenario.units):
+                raise NotBatchableError(scenario.units)
+            lower_units(scenario.units)
+        except NotBatchableError:
+            skipped += 1
+            continue
+        groups.setdefault(scenario.units, []).append(scenario)
+    populations = []
+    for units, cases in groups.items():
+        per_row = tuple(
+            BatchGeometry(
+                c.geometry.num_sets,
+                c.geometry.associativity,
+                c.geometry.line_size,
+                c.geometry.lines,
+            )
+            for c in cases
         )
-        assert got.summary_json() == base.summary_json()
-
-    def test_mixed_geometry_seeds_merge_into_one_population(self):
-        # Fuzz scenarios draw varied geometries; with units-only grouping
-        # a mix must appear at most once per campaign.
-        report = run_batch_campaign(seeds=60, oracle_sample=1)
-        assert report.populations <= report.batched_rows
-        assert report.ok
+        populations.append(
+            BatchPopulation(
+                units=units,
+                geometry=envelope_geometry(per_row),
+                events=[
+                    [
+                        (e.unit, EVENT_KIND_CODES[e.kind], e.line)
+                        for e in c.events
+                    ]
+                    for c in cases
+                ],
+                row_ids=tuple(c.seed for c in cases),
+                geometries=per_row,
+            )
+        )
+    return populations, skipped
 
 
 class TestBatchCampaign:
+    """Generated fuzz scenarios through the kernel, every row replayed on
+    the object engine."""
+
     def test_fifty_seed_campaign_matches_oracle(self):
-        report = run_batch_campaign(seeds=FUZZ_SEEDS, oracle_sample=1)
-        assert report.ok
-        assert report.mismatches == []
-        assert report.batched_rows + report.fallback_rows == FUZZ_SEEDS
-        assert report.batched_rows > 0 and report.fallback_rows > 0
-        assert report.fallback_failures == 0
+        populations, skipped = _scenario_populations(FUZZ_SEEDS)
+        batched = sum(pop.rows for pop in populations)
+        assert batched + skipped == FUZZ_SEEDS
+        assert batched > 0 and skipped > 0
+        for pop in populations:
+            assert verify_rows(pop, run_population(pop)) == [], pop.units
 
     def test_campaign_backend_invariant(self):
-        reports = [
-            run_batch_campaign(seeds=30, oracle_sample=1, backend=backend)
-            for backend in available_backends()
-        ]
-        dicts = [r.to_dict() for r in reports]
-        for d in dicts:
-            d.pop("backend")
-        assert all(d == dicts[0] for d in dicts[1:])
+        populations, _ = _scenario_populations(30)
+        for pop in populations:
+            snapshots = [
+                run_population(pop, backend=backend).snapshots
+                for backend in available_backends()
+            ]
+            assert all(s == snapshots[0] for s in snapshots[1:])
+
+    def test_mixed_geometry_seeds_merge_into_one_population(self):
+        # Fuzz scenarios draw varied geometries; grouped by unit mix
+        # alone, a mix is one padded population.
+        populations, _ = _scenario_populations(60)
+        assert len({pop.units for pop in populations}) == len(populations)
+        assert any(len(set(pop.geometries)) > 1 for pop in populations)
+        for pop in populations:
+            assert verify_rows(pop, run_population(pop)) == [], pop.units
 
 
 class TestSweepEntryPoints:
