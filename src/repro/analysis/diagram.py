@@ -6,20 +6,25 @@ implementation* (the same engines the tables are diffed from), using
 networkx for the graph structure, and renders it as ASCII adjacency or
 Graphviz DOT.
 
+networkx is the optional ``diagram`` extra (``pip install
+repro[diagram]``); it is imported inside the functions that use it, so
+importing this module (and :mod:`repro.analysis`) never loads it.
+
 Conditional result states contribute both branches (labelled ``CH`` /
 ``~CH``); bus-event responses are labelled with their column numbers.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.actions import ConditionalState
 from repro.core.events import ALL_BUS_EVENTS, ALL_LOCAL_EVENTS
 from repro.core.protocol import Protocol
 from repro.core.states import LineState
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import networkx as nx
 
 __all__ = [
     "build_transition_graph",
@@ -27,6 +32,17 @@ __all__ = [
     "render_adjacency",
     "to_dot",
 ]
+
+
+def _networkx():
+    """networkx, or an :class:`ImportError` naming the extra to install."""
+    try:
+        import networkx
+    except ImportError:
+        raise ImportError(
+            "protocol diagrams need networkx: pip install 'repro[diagram]'"
+        ) from None
+    return networkx
 
 
 def _targets(next_state) -> list[tuple[LineState, str]]:
@@ -39,7 +55,7 @@ def _targets(next_state) -> list[tuple[LineState, str]]:
 def build_transition_graph(protocol: Protocol) -> "nx.MultiDiGraph":
     """Directed multigraph: nodes are state letters, edges carry labels
     like ``W:CH:O/M,CA,IM,BC,W`` (local) or ``col5`` (bus)."""
-    graph = nx.MultiDiGraph(name=protocol.name)
+    graph = _networkx().MultiDiGraph(name=protocol.name)
     for state in protocol.states:
         graph.add_node(state.letter)
     for state in protocol.states:
@@ -71,7 +87,7 @@ def reachable_states(
     graph = build_transition_graph(protocol)
     if start.letter not in graph:
         return set()
-    return set(nx.descendants(graph, start.letter)) | {start.letter}
+    return set(_networkx().descendants(graph, start.letter)) | {start.letter}
 
 
 def render_adjacency(protocol: Protocol) -> str:

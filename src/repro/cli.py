@@ -369,9 +369,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if serve is not None:
         cache = serve["cache"]
         print(f"\nserve tier ({serve['references']} refs): miss "
-              f"{serve['miss_s']:.4f}s, hit {serve['hit_s']:.6f}s "
-              f"({serve['hit_speedup']}x); cache hits {cache['hits']}, "
-              f"misses {cache['misses']}")
+              f"{serve['miss_s']:.4f}s, hit p50 {serve['hit_ns_p50']} ns "
+              f"p99 {serve['hit_ns_p99']} ns ({serve['hit_speedup']}x at "
+              f"p50); cache hits {cache['hits']}, misses {cache['misses']}")
     serve_batch = report.get("serve_batch")
     if serve_batch is not None:
         print(f"serve batch ({serve_batch['requests']} compatible "
@@ -466,7 +466,11 @@ def _cmd_diagram(args: argparse.Namespace) -> int:
     from repro.protocols.registry import make_protocol
 
     protocol = make_protocol(args.protocol)
-    text = to_dot(protocol) if args.dot else render_adjacency(protocol)
+    try:
+        text = to_dot(protocol) if args.dot else render_adjacency(protocol)
+    except ImportError as error:  # the optional [diagram] extra
+        print(f"repro diagram: {error}", file=sys.stderr)
+        return 2
     if args.json:
         data = {
             "protocol": args.protocol,

@@ -48,6 +48,9 @@ class BusOp(enum.Enum):
     #: Address-only transaction (e.g. invalidate with no data transfer).
     NONE = ""
 
+    #: Identity hash in C, like :class:`~repro.core.states.LineState`.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
 
@@ -101,6 +104,9 @@ class MasterKind(enum.Enum):
     WRITE_THROUGH = "*"
     NON_CACHING = "**"
     WRITE_THROUGH_OR_NON_CACHING = "*,**"
+
+    #: Identity hash in C, like :class:`~repro.core.states.LineState`.
+    __hash__ = object.__hash__
 
     @property
     def includes_write_through(self) -> bool:

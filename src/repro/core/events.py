@@ -44,6 +44,9 @@ class LocalEvent(enum.Enum):
     #: eviction of clean lines).
     FLUSH = 4
 
+    #: Identity hash in C, like :class:`~repro.core.states.LineState`.
+    __hash__ = object.__hash__
+
     @property
     def note(self) -> int:
         """The paper's table column note number (1-4)."""
@@ -82,6 +85,9 @@ class BusEvent(enum.Enum):
     #: ~CA,IM,BC -- broadcast write by a non-caching processor or a
     #: write-through cache.
     UNCACHED_BROADCAST_WRITE = 10
+
+    #: Identity hash in C, like :class:`~repro.core.states.LineState`.
+    __hash__ = object.__hash__
 
     @property
     def note(self) -> int:

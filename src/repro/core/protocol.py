@@ -239,6 +239,16 @@ def _state_order(state: LineState) -> int:
     return _STATE_ORDER[state]
 
 
+#: Attributes that, set on an instance, give it tables of its own.
+_OWN_TABLE_ATTRS = frozenset(
+    ("local_transitions", "snoop_transitions", "snoop_default_to_class")
+)
+#: Per :class:`TableProtocol` subclass: ``(local mapping, snoop mapping,
+#: compiled tables)``.  The mappings are the class's own objects, checked
+#: by identity on every hit, so rebinding a class mapping recompiles.
+_SHARED_FAST_TABLES: dict[type, tuple] = {}
+
+
 class TableProtocol(Protocol):
     """A deterministic protocol defined by explicit transition tables.
 
@@ -264,13 +274,29 @@ class TableProtocol(Protocol):
     _fast_tables = None
 
     def _compile_fast_tables(self):
-        """Compile (and verify) the flat tables, once per instance."""
+        """Compile (and verify) the flat tables on first use.
+
+        Instances that drive their class's own mappings share one
+        verified pair per class (:data:`_SHARED_FAST_TABLES`); an
+        instance that sets its own mappings compiles its own."""
         from repro.core.transitions import (
             compile_deterministic,
             fast_tables_enabled,
         )
 
-        if fast_tables_enabled():
+        if not fast_tables_enabled():
+            self._fast_tables = False
+            return False
+        cls = type(self)
+        shared = not _OWN_TABLE_ATTRS.intersection(self.__dict__)
+        entry = _SHARED_FAST_TABLES.get(cls) if shared else None
+        if (
+            entry is not None
+            and entry[0] is cls.local_transitions
+            and entry[1] is cls.snoop_transitions
+        ):
+            tables = entry[2]
+        else:
             fallback = (
                 self._class_snoop_fallback
                 if self.snoop_default_to_class
@@ -279,8 +305,10 @@ class TableProtocol(Protocol):
             tables = compile_deterministic(
                 self.local_transitions, self.snoop_transitions, fallback
             )
-        else:
-            tables = False
+            if shared:
+                _SHARED_FAST_TABLES[cls] = (
+                    cls.local_transitions, cls.snoop_transitions, tables
+                )
         self._fast_tables = tables
         return tables
 

@@ -59,6 +59,11 @@ class LineState(enum.Enum):
     SHAREABLE = "S"
     INVALID = "I"
 
+    #: Members are singletons compared by identity, so the C-level
+    #: identity hash is consistent with equality and skips
+    #: ``Enum.__hash__`` (a Python call) on every dict and set lookup.
+    __hash__ = object.__hash__
+
     # ------------------------------------------------------------------
     # The three characteristics (paper section 3.1.1 - 3.1.3).
     # ------------------------------------------------------------------

@@ -716,28 +716,35 @@ def shared_class_table() -> MoesiClassTable:
     return _SHARED_CLASS_TABLE
 
 
+def _choice_order(action) -> tuple[str, str]:
+    """Sort key of a closure cell: the notation, then the next state.
+
+    Every Read>Write action renders as plain ``Read>Write`` whatever its
+    landing state, so the notation alone leaves ties, and the closure is
+    a frozenset: without the second key their order would follow set
+    iteration order, which varies with the hash seed."""
+    state = action.next_state
+    return action.notation(), (
+        state.letter if isinstance(state, LineState) else state.notation()
+    )
+
+
 def compiled_class_cells() -> CompiledCells:
     """The full relaxation closure, compiled: every cell is its closed
-    action set sorted by notation (the deterministic order the full-class
-    explorer enumerates choices in)."""
+    action set sorted by :func:`_choice_order` (the deterministic order
+    the full-class explorer enumerates choices in)."""
     global _COMPILED_CLASS_CELLS
     if _COMPILED_CLASS_CELLS is None:
         table = shared_class_table()
 
         def local_fn(state, event):
             return tuple(
-                sorted(
-                    table.local_action_set(state, event),
-                    key=lambda a: a.notation(),
-                )
+                sorted(table.local_action_set(state, event), key=_choice_order)
             )
 
         def snoop_fn(state, event):
             return tuple(
-                sorted(
-                    table.snoop_action_set(state, event),
-                    key=lambda a: a.notation(),
-                )
+                sorted(table.snoop_action_set(state, event), key=_choice_order)
             )
 
         _COMPILED_CLASS_CELLS = compile_cells(local_fn, snoop_fn)

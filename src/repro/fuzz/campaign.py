@@ -2,7 +2,7 @@
 
 A campaign runs seeds ``seed_base .. seed_base + seeds - 1`` through
 :func:`repro.fuzz.runner.run_scenario`, fanning out over
-:func:`repro.perf.parallel_map` from PR 1.  Because each seed's scenario
+:func:`repro.perf.pool.parallel_map`.  Because each seed's scenario
 and verdict are pure functions of ``(seed, config)``, and results come
 back in input order, ``--workers N`` and ``--workers 0`` produce
 byte-identical campaign summaries -- the worker count is deliberately

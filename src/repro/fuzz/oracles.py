@@ -88,26 +88,17 @@ class DifferentialOracle:
         self.references = references
         self.transitions_checked = 0
         self._violations: list[OracleViolation] = []
-        #: (unit, side, state, event, action) -> permitted.  The observer
-        #: runs inside every bus transaction; a scenario replays the same
-        #: handful of transitions thousands of times, so the table lookup
-        #: is paid once per distinct cell.
-        self._permit_memo: dict[tuple, bool] = {}
 
     def attach(self, system: System) -> None:
         system.install_transition_observer(self.observe)
 
     def observe(self, unit: str, side: str, state, event, action) -> None:
         self.transitions_checked += 1
-        key = (unit, side, state, event, action)
-        permitted = self._permit_memo.get(key)
-        if permitted is None:
-            reference = self.references.get(unit)
-            permitted = reference is None or reference.permits(
-                side, state, event, action
-            )
-            self._permit_memo[key] = permitted
-        if permitted:
+        # A scenario replays the same handful of transitions thousands of
+        # times; the shared reference memoizes each verdict
+        # (TransitionQuery.permits), so a repeat costs one dict hit.
+        reference = self.references.get(unit)
+        if reference is None or reference.permits(side, state, event, action):
             return
         self._violations.append(
             OracleViolation(

@@ -338,6 +338,13 @@ def resolve_spec(spec: str) -> Protocol:
     return make_protocol(spec)
 
 
+#: Spec base (``moesi``, ``full-class``, ``illinois``, ...) -> its
+#: reference.  References are immutable tables, so every unit of every
+#: scenario in this process shares one per base, and with it one memo of
+#: per-cell verdicts (:meth:`TransitionQuery.permits`).
+_REFERENCES: dict[str, TransitionQuery] = {}
+
+
 def reference_query(spec: str) -> TransitionQuery:
     """The canonical table a unit's transitions are diffed against.
 
@@ -345,20 +352,25 @@ def reference_query(spec: str) -> TransitionQuery:
     bug is checked against the table of the protocol it claims to be.
     Class members are checked against the full class closure (any
     permitted action at any instant is in-spec); the adapted foreign
-    protocols against their own paper table.
+    protocols against their own paper table.  One shared reference per
+    base is built on first use.
     """
     if spec.startswith("bug:"):
         name = spec[len("bug:"):]
         return reference_query(INJECTABLE_BUGS[name].base)
     base = spec.split(":", 1)[0]
-    if base in FOREIGN_SPECS:
-        return ProtocolTransitionQuery(base)
-    if base == "full-class":
-        # The full-class protocol may take *any* kind's permitted action
-        # (the paper's universal claim), so its reference is unfiltered.
-        return ClassTransitionQuery(None)
-    protocol = resolve_spec(spec)
-    return ClassTransitionQuery(protocol.kind)
+    reference = _REFERENCES.get(base)
+    if reference is None:
+        if base in FOREIGN_SPECS:
+            reference = ProtocolTransitionQuery(base)
+        elif base == "full-class":
+            # The full-class protocol may take *any* kind's permitted
+            # action (the paper's universal claim): unfiltered reference.
+            reference = ClassTransitionQuery(None)
+        else:
+            reference = ClassTransitionQuery(resolve_spec(spec).kind)
+        _REFERENCES[base] = reference
+    return reference
 
 
 # ---------------------------------------------------------------------------

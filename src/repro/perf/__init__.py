@@ -8,9 +8,10 @@ protocol mix and the multi-protocol timed-simulation sweeps -- are
 embarrassingly parallel across cases.  This package provides:
 
 * :mod:`repro.perf.pool` -- the only module that fans work over worker
-  processes: :func:`parallel_map` (a deterministic map with graceful
-  serial fallback) over one warm persistent pool with chunked batch
-  scheduling, plus the per-task timeout machinery the serve tier uses;
+  processes: :func:`~repro.perf.pool.parallel_map` (a deterministic map
+  with graceful serial fallback) over one warm persistent pool with
+  chunked batch scheduling, plus the per-task timeout machinery the
+  serve tier uses;
 * :mod:`repro.perf.matrix` -- the verification matrix across workers,
   byte-identical rows to the serial path;
 * :mod:`repro.perf.sweeps` -- the DES experiment sweeps across workers;
@@ -22,57 +23,9 @@ embarrassingly parallel across cases.  This package provides:
 * :mod:`repro.perf.bench` -- the ``repro bench`` suite: serial-vs-parallel
   wall time, explorer states/sec, batch-kernel throughput, written to
   ``BENCH_perf.json``.
+
+The package itself re-exports nothing: import the submodule you use
+(``from repro.perf.pool import parallel_map``).  Importing the package
+must not load the sweeps (and through them :mod:`repro.analysis`) or
+the batch kernel on paths that only need the pool.
 """
-
-from repro.perf.batch import (
-    BatchGeometry,
-    BatchPopulation,
-    BatchResult,
-    NotBatchableError,
-    available_backends,
-    batchable_specs,
-    default_backend,
-    make_synthetic_population,
-    run_population,
-    verify_rows,
-)
-from repro.perf.bench import run_bench_suite, write_bench_json
-from repro.perf.matrix import run_matrix_parallel
-from repro.perf.pool import (
-    ParallelTimeoutError,
-    parallel_map,
-    pool_stats,
-    resolve_workers,
-    run_chunked,
-    shutdown_pool,
-)
-from repro.perf.sweeps import (
-    batch_protocol_sweep,
-    protocol_comparison_parallel,
-    update_vs_invalidate_parallel,
-)
-
-__all__ = [
-    "ParallelTimeoutError",
-    "parallel_map",
-    "resolve_workers",
-    "run_matrix_parallel",
-    "protocol_comparison_parallel",
-    "update_vs_invalidate_parallel",
-    "batch_protocol_sweep",
-    "BatchGeometry",
-    "BatchPopulation",
-    "BatchResult",
-    "NotBatchableError",
-    "available_backends",
-    "batchable_specs",
-    "default_backend",
-    "make_synthetic_population",
-    "run_population",
-    "verify_rows",
-    "run_bench_suite",
-    "write_bench_json",
-    "pool_stats",
-    "run_chunked",
-    "shutdown_pool",
-]

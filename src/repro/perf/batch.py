@@ -9,7 +9,7 @@ for per-line state codes, tags, values, and replacement ranks -- and
 steps every row through the integer records of
 :func:`repro.core.transitions.lower_batch_tables`.
 
-Two backends, selected at import and identical in output:
+Two backends, identical in output:
 
 * ``"numpy"`` -- time-major stepping where each step **plans** every
   row's event in temporaries (lookup, local record, snoop aggregation
@@ -24,6 +24,11 @@ Two backends, selected at import and identical in output:
   reported as ``BatchResult.scalar_events``.
 * ``"python"`` -- the scalar interpreter over ``array('q')`` columns,
   dependency-free.
+
+numpy (the optional ``perf`` extra) is imported the first time a
+numpy-backend population runs or a backend is picked by default
+(:func:`_numpy`); the scalar interpreter -- and the compiled explorer
+that steps through it -- never loads it.
 
 Populations may be geometry-heterogeneous: ``BatchPopulation.geometries``
 gives each row its own set/way/linesize shape, padded to the population
@@ -56,10 +61,10 @@ from repro.core.transitions import (
 )
 from repro.protocols.registry import make_protocol
 
-try:  # the [perf] optional extra; the kernel runs without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via backend="python"
-    _np = None
+#: numpy once :func:`_numpy` has loaded it, ``None`` when it is absent
+#: (setting ``None`` forces the python backend), ``False`` before the
+#: first attempt.
+_np = False
 
 __all__ = [
     "BatchGeometry",
@@ -89,9 +94,20 @@ _STATE_LETTERS = "MOESI"
 _MAX_RETRIES = 8  # Futurebus.max_retries
 
 
+def _numpy():
+    """numpy, imported on first use; ``None`` when it is not installed."""
+    global _np
+    if _np is False:
+        try:  # the [perf] optional extra; the kernel runs without it
+            import numpy as _np
+        except ImportError:  # pragma: no cover - the without-numpy CI leg
+            _np = None
+    return _np
+
+
 def available_backends() -> tuple[str, ...]:
     """Backends usable in this process, fastest first."""
-    return ("numpy", "python") if _np is not None else ("python",)
+    return ("numpy", "python") if _numpy() is not None else ("python",)
 
 
 def default_backend() -> str:
@@ -331,11 +347,12 @@ class _Kernel:
                 n_slots // max(self.W, 1)
             )
         if backend == "numpy":
-            z = lambda n: _np.zeros(n, dtype=_np.int64)  # noqa: E731
-            self.st = _np.full(n_slots, _INVALID, dtype=_np.int64)
+            np = _numpy()
+            z = lambda n: np.zeros(n, dtype=np.int64)  # noqa: E731
+            self.st = np.full(n_slots, _INVALID, dtype=np.int64)
             self.tg = z(n_slots)
             self.val = z(n_slots)
-            self.rk = _np.array(rank_pattern, dtype=_np.int64)
+            self.rk = np.array(rank_pattern, dtype=np.int64)
             self.mem = z(n_words)
             self.lastv = z(n_words)
             self.vctr = z(self.R)
@@ -1287,7 +1304,7 @@ def run_population(
 ) -> BatchResult:
     """Run every row of a population through the kernel."""
     chosen = backend or default_backend()
-    if chosen not in available_backends():
+    if chosen != "python" and chosen not in available_backends():
         raise ValueError(
             f"backend {chosen!r} unavailable; have {available_backends()}"
         )

@@ -13,7 +13,13 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.actions import BusOp, LocalAction, MasterKind, SnoopAction
+from repro.core.actions import (
+    SNOOP_IGNORE,
+    BusOp,
+    LocalAction,
+    MasterKind,
+    SnoopAction,
+)
 from repro.core.events import BusEvent, LocalEvent
 from repro.core.protocol import (
     IllegalTransitionError,
@@ -21,12 +27,25 @@ from repro.core.protocol import (
     Protocol,
     SnoopContext,
 )
-from repro.core.signals import MasterSignals, SnoopResponse
+from repro.core.signals import MasterSignals
 from repro.core.states import LineState
 
 __all__ = ["NonCachingProtocol"]
 
 I = LineState.INVALID
+
+# Actions are immutable, so every instance shares them.
+# "I,R**": read without asserting CA (bus event column 7).
+_READ = LocalAction(I, MasterSignals(), BusOp.READ,
+                    kind=MasterKind.NON_CACHING)
+# "I,IM,BC,W**" / "I,IM,W**" (bus event columns 10 / 9), by broadcast flag.
+_WRITE = {
+    bc: LocalAction(
+        I, MasterSignals(im=True, bc=bc), BusOp.WRITE,
+        kind=MasterKind.NON_CACHING,
+    )
+    for bc in (False, True)
+}
 
 
 class NonCachingProtocol(Protocol):
@@ -44,16 +63,8 @@ class NonCachingProtocol(Protocol):
         self.name = name or (
             "NonCaching(BC)" if broadcast_writes else "NonCaching"
         )
-        # "I,R**": read without asserting CA (bus event column 7).
-        self._read = LocalAction(I, MasterSignals(), BusOp.READ,
-                                 kind=MasterKind.NON_CACHING)
-        # "I,IM,BC,W**" / "I,IM,W**" (bus event columns 10 / 9).
-        self._write = LocalAction(
-            I,
-            MasterSignals(im=True, bc=broadcast_writes),
-            BusOp.WRITE,
-            kind=MasterKind.NON_CACHING,
-        )
+        self._read = _READ
+        self._write = _WRITE[bool(broadcast_writes)]
 
     def local_action(
         self,
@@ -76,7 +87,7 @@ class NonCachingProtocol(Protocol):
         ctx: Optional[SnoopContext] = None,
     ) -> SnoopAction:
         # "A non-caching unit never responds to bus events."
-        return SnoopAction(I, SnoopResponse.NONE)
+        return SNOOP_IGNORE
 
     def local_cell(self, state, event):
         if state is I and event is LocalEvent.READ:
@@ -86,4 +97,4 @@ class NonCachingProtocol(Protocol):
         return ()
 
     def snoop_cell(self, state, event):
-        return (SnoopAction(I, SnoopResponse.NONE),)
+        return (SNOOP_IGNORE,)

@@ -41,6 +41,11 @@ __all__ = ["WriteThroughProtocol"]
 
 S, I = LineState.SHAREABLE, LineState.INVALID
 
+#: ``(broadcast_writes, write_allocate, update_on_broadcast)`` ->
+#: ``(local, snoop)`` mappings; immutable once built, so every instance
+#: with the same flags shares one pair.
+_TABLES: dict[tuple, tuple] = {}
+
 
 def _local(next_state, *, ca=False, im=False, bc=False, op=BusOp.NONE,
            kind=MasterKind.WRITE_THROUGH) -> LocalAction:
@@ -75,9 +80,13 @@ class WriteThroughProtocol(Protocol):
         flavor.append("BC" if broadcast_writes else "noBC")
         flavor.append("alloc" if write_allocate else "noalloc")
         self.name = name or f"WriteThrough({','.join(flavor)})"
-        self._build_tables()
+        flags = (broadcast_writes, write_allocate, update_on_broadcast)
+        tables = _TABLES.get(flags)
+        if tables is None:
+            tables = _TABLES[flags] = self._build_tables()
+        self._local, self._snoop = tables
 
-    def _build_tables(self) -> None:
+    def _build_tables(self) -> tuple[dict, dict]:
         bc = self.broadcast_writes
         # "S,IM,BC,W*" / "S,IM,W*": write past the cache, stay valid.
         hit_write = _local(S, im=True, bc=bc, op=BusOp.WRITE)
@@ -87,7 +96,7 @@ class WriteThroughProtocol(Protocol):
         else:
             # "I,IM,BC,W*" / "I,IM,W*": write past without allocating.
             miss_write = _local(I, im=True, bc=bc, op=BusOp.WRITE)
-        self._local = {
+        local = {
             (S, LocalEvent.READ): _local(S),
             # "S,CA,R*": a write-through read miss asserts CA.
             (I, LocalEvent.READ): _local(S, ca=True, op=BusOp.READ),
@@ -100,7 +109,7 @@ class WriteThroughProtocol(Protocol):
             _snoop(S, ch=True, sl=True) if self.update_on_broadcast
             else _snoop(I)
         )
-        self._snoop = {
+        snoop = {
             (S, BusEvent.CACHE_READ): _snoop(S, ch=True),
             (S, BusEvent.CACHE_READ_FOR_MODIFY): _snoop(I),
             (S, BusEvent.UNCACHED_READ): _snoop(S, ch=True),
@@ -110,7 +119,8 @@ class WriteThroughProtocol(Protocol):
             (S, BusEvent.UNCACHED_BROADCAST_WRITE): on_broadcast,
         }
         for event in BusEvent:
-            self._snoop[(I, event)] = _snoop(I)
+            snoop[(I, event)] = _snoop(I)
+        return local, snoop
 
     def local_action(
         self,

@@ -182,22 +182,28 @@ class TransitionQuery:
 
         Verdicts are memoized per query instance: tables are immutable,
         and the differential oracle asks about the same few cells for
-        every transition of a long run.
+        every transition of a long run.  The memo key hashes natively --
+        state and event codes, and the action's identity (re-checked with
+        ``is``) -- so a hit never runs a dataclass ``__hash__``; equal
+        actions built separately each get their own entry.
         """
         memo = self.__dict__.get("_permits_memo")
         if memo is None:
             memo = self.__dict__["_permits_memo"] = {}
-        key = (side, state, event, action)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
+        key = (side, state.code, event.code, id(action))
+        entry = memo.get(key)
+        if entry is not None and entry[0] is action:
+            return entry[1]
         if side == "local":
             verdict = self.permits_local(state, event, action)
         elif side == "snoop":
             verdict = self.permits_snoop(state, event, action)
         else:
             raise ValueError(f"unknown transition side {side!r}")
-        memo[key] = verdict
+        # The entry holds the action, so its id cannot be reused while
+        # the entry lives.  Protocols hand out shared action objects, so
+        # the memo stays at one entry per distinct cell and action.
+        memo[key] = (action, verdict)
         return verdict
 
 

@@ -9,6 +9,8 @@ fast instead of surfacing as a flaky CI verdict.
 
 import copy
 
+import pytest
+
 from repro.perf.bench import (
     MAX_SERVE_HIT_S,
     MIN_TPS_RATIO,
@@ -116,3 +118,18 @@ class TestExplorerGate:
         )
         report = regression_report(current, BASELINE)
         assert not report["ok"]
+
+
+class TestServeHitSection:
+    def test_hit_percentiles_are_unrounded_ns(self):
+        from repro.perf.bench import SERVE_HIT_LOOKUPS, _bench_serve
+
+        serve = _bench_serve(quick=True)
+        assert serve["hit_lookups"] == SERVE_HIT_LOOKUPS >= 1000
+        p50, p99 = serve["hit_ns_p50"], serve["hit_ns_p99"]
+        assert isinstance(p50, int) and isinstance(p99, int)
+        assert 0 < p50 <= p99
+        # miss_s is reported rounded; the speedup uses the exact miss.
+        assert serve["hit_speedup"] == pytest.approx(
+            serve["miss_s"] / (p50 * 1e-9), rel=0.02
+        )

@@ -1,6 +1,8 @@
-"""Protocol state-diagram generation."""
+"""Protocol state-diagram generation (needs the ``diagram`` extra)."""
 
 import pytest
+
+pytest.importorskip("networkx")
 
 from repro.analysis.diagram import (
     build_transition_graph,

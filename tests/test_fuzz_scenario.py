@@ -4,7 +4,9 @@ import dataclasses
 
 import pytest
 
+from repro.core.events import ALL_BUS_EVENTS, ALL_LOCAL_EVENTS
 from repro.core.protocol import Protocol
+from repro.core.states import LineState
 from repro.fuzz.scenario import (
     FOREIGN_SPECS,
     INJECTABLE_BUGS,
@@ -14,6 +16,7 @@ from repro.fuzz.scenario import (
     reference_query,
     resolve_spec,
 )
+from repro.protocols.registry import PROTOCOL_FACTORIES
 from repro.verify.explorer import (
     ClassTransitionQuery,
     ProtocolTransitionQuery,
@@ -121,6 +124,42 @@ class TestReferenceQuery:
     def test_foreign_gets_protocol_query(self):
         query = reference_query("illinois")
         assert isinstance(query, ProtocolTransitionQuery)
+
+    def test_one_shared_reference_per_base(self):
+        assert reference_query("moesi-random:1") is reference_query(
+            "moesi-random:2"
+        )
+        assert reference_query("full-class:3") is reference_query(
+            "full-class:4"
+        )
+        assert reference_query("bug:illinois-silent-im") is reference_query(
+            "illinois"
+        )
+        assert reference_query("moesi") is not reference_query("berkeley")
+
+    @pytest.mark.parametrize(
+        "spec",
+        sorted(PROTOCOL_FACTORIES) + ["full-class:1", "moesi-random:1"]
+        + [f"bug:{name}" for name in sorted(INJECTABLE_BUGS)],
+    )
+    def test_instances_share_action_objects(self, spec):
+        """The shared references memoize verdicts by action identity for
+        the life of the process; that memo stays bounded only because
+        every fuzzed protocol hands out the same action objects."""
+        first, second = resolve_spec(spec), resolve_spec(spec)
+        for state in LineState:
+            for event in ALL_LOCAL_EVENTS:
+                a, b = first.local_cell(state, event), second.local_cell(
+                    state, event
+                )
+                assert len(a) == len(b)
+                assert all(x is y for x, y in zip(a, b)), (state, event)
+            for event in ALL_BUS_EVENTS:
+                a, b = first.snoop_cell(state, event), second.snoop_cell(
+                    state, event
+                )
+                assert len(a) == len(b)
+                assert all(x is y for x, y in zip(a, b)), (state, event)
 
     def test_bug_checked_against_unmutated_base(self):
         """The whole point of differential testing: the buggy board is

@@ -1,5 +1,7 @@
 """Reachable-transition queries over the explorer's canonical tables."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.events import BusEvent, LocalEvent
@@ -66,6 +68,20 @@ class TestClassQuery:
         assert query.permits("local", I, LocalEvent.READ, action)
         with pytest.raises(ValueError, match="unknown transition side"):
             query.permits("sideways", I, LocalEvent.READ, action)
+
+    def test_permits_memo_keys_on_action_identity(self):
+        """An equal action built separately gets its own memo entry and
+        the same verdict; a repeat of either is a memo hit."""
+        query = ClassTransitionQuery()
+        action = make_protocol("moesi").local_cell(I, LocalEvent.READ)[0]
+        twin = dataclasses.replace(action)
+        assert twin == action and twin is not action
+        assert query.permits("local", I, LocalEvent.READ, action)
+        assert query.permits("local", I, LocalEvent.READ, twin)
+        memo = query.__dict__["_permits_memo"]
+        assert len(memo) == 2
+        assert query.permits("local", I, LocalEvent.READ, action)
+        assert len(memo) == 2
 
     def test_base_class_is_abstract(self):
         with pytest.raises(NotImplementedError):

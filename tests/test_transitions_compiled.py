@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.events import ALL_BUS_EVENTS, ALL_LOCAL_EVENTS
+from repro.core.events import ALL_BUS_EVENTS, ALL_LOCAL_EVENTS, LocalEvent
 from repro.core.protocol import IllegalTransitionError, TableProtocol
 from repro.core.states import LineState
 from repro.core.transitions import (
@@ -26,6 +26,7 @@ from repro.core.transitions import (
     N_LOCAL_EVENTS,
     N_STATES,
     TableCompilationError,
+    _choice_order,
     compile_cells,
     compiled_class_cells,
     set_fast_tables,
@@ -104,10 +105,21 @@ class TestClassClosureCompiled:
             expected = tuple(
                 sorted(
                     table.local_action_set(state, event),
-                    key=lambda a: a.notation(),
+                    key=_choice_order,
                 )
             )
             assert cells.local_cell(state, event) == expected, (state, event)
+
+    def test_notation_ties_have_a_fixed_order(self):
+        """The three copy-back Read>Write actions share one notation; the
+        next state orders them, not the frozenset's hash order."""
+        cell = compiled_class_cells().local_cell(
+            LineState.INVALID, LocalEvent.WRITE
+        )
+        tied = [a for a in cell if a.notation() == "Read>Write"]
+        assert [_choice_order(a)[1] for a in tied] == [
+            "CH:S/E", "CH:S/M", "S",
+        ]
 
     def test_every_snoop_cell_matches_closure(self):
         table = shared_class_table()
@@ -116,7 +128,7 @@ class TestClassClosureCompiled:
             expected = tuple(
                 sorted(
                     table.snoop_action_set(state, event),
-                    key=lambda a: a.notation(),
+                    key=_choice_order,
                 )
             )
             assert cells.snoop_cell(state, event) == expected, (state, event)
@@ -199,6 +211,48 @@ class TestRegistryProtocolsCompiled:
         assert len(rows) == len(PROTOCOL_FACTORIES)
         assert all(row["ok"] for row in rows)
         assert any(row["deterministic"] for row in rows)
+
+
+class TestSharedFastTables:
+    """Verified tables are compiled once per class, not per instance."""
+
+    def test_instances_of_one_class_share_one_table(
+        self, fast_tables_restored
+    ):
+        set_fast_tables(True)
+        first, second = make_protocol("illinois"), make_protocol("illinois")
+        assert first._compile_fast_tables() is second._compile_fast_tables()
+        assert make_protocol("berkeley")._compile_fast_tables() is not (
+            first._fast_tables
+        )
+
+    def test_instance_mapping_compiles_its_own(self, fast_tables_restored):
+        set_fast_tables(True)
+        shared = make_protocol("illinois")._compile_fast_tables()
+        own = make_protocol("illinois")
+        own.snoop_transitions = dict(own.snoop_transitions)
+        tables = own._compile_fast_tables()
+        assert tables is not shared
+        assert tables == shared  # same cells, compiled separately
+        # ... and the class's shared entry is untouched by it.
+        assert make_protocol("illinois")._compile_fast_tables() is shared
+
+    def test_disabled_fast_path_opts_out(self, fast_tables_restored):
+        set_fast_tables(True)
+        shared = make_protocol("dragon")._compile_fast_tables()
+        set_fast_tables(False)
+        assert make_protocol("dragon")._compile_fast_tables() is False
+        set_fast_tables(True)
+        assert make_protocol("dragon")._compile_fast_tables() is shared
+
+    def test_write_through_flavours_share_by_flags(self):
+        from repro.protocols.write_through import WriteThroughProtocol
+
+        a = WriteThroughProtocol(write_allocate=True)
+        b = WriteThroughProtocol(write_allocate=True, name="other")
+        c = WriteThroughProtocol(write_allocate=False)
+        assert a._local is b._local and a._snoop is b._snoop
+        assert a._local is not c._local
 
 
 class TestFuzzDifferentialEquivalence:
