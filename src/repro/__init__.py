@@ -40,9 +40,9 @@ Packages:
 * :mod:`repro.workloads` -- traces, synthetic generator, sharing patterns;
 * :mod:`repro.verify` -- the exhaustive model checker behind the
   compatibility theorem;
-* :mod:`repro.perf` -- the parallel execution layer (process-pool
-  fan-out of the verification matrix and the DES sweeps, the
-  ``repro bench`` suite);
+* :mod:`repro.perf` -- the parallel execution layer (the process pool
+  the verification matrix, the DES sweeps and fuzz campaigns fan out
+  over, the batch kernel, the ``repro bench`` suite);
 * :mod:`repro.analysis` -- regenerate/diff the paper's tables and figures,
   performance comparisons;
 * :mod:`repro.ext` -- section 5/6 extensions (Puzak refinement, per-page

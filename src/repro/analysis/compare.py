@@ -21,9 +21,11 @@ comparison on our simulator and produce the rows the benchmarks print:
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Sequence
 
 from repro.bus.timing import BusTiming
+from repro.perf.pool import parallel_map
 from repro.system.runner import timed_run_from_trace
 from repro.system.stats import SystemReport
 from repro.system.system import BoardSpec, System
@@ -103,8 +105,8 @@ def run_protocol_on_trace(
 
 
 def comparison_row(protocol: str, trace: Trace, timed: bool = True) -> dict:
-    """One E2 row: run ``protocol`` over ``trace``; module-level so worker
-    processes can execute it (shared by serial and parallel sweeps)."""
+    """One E2 row: run ``protocol`` over ``trace`` (module-level, so
+    worker processes can execute it)."""
     report = run_protocol_on_trace(protocol, trace, timed=timed)
     row = report.row()
     if report.elapsed_ns:
@@ -135,53 +137,34 @@ def protocol_comparison(
     references: int = 4000,
     seed: int = 7,
     timed: bool = True,
-    workers: Optional[int] = None,
+    workers: int = 0,
     tracer=None,
     profiler=None,
 ) -> list[dict]:
     """E2: all protocols on one synthetic workload; one row each.
 
-    With ``workers`` > 1 the per-protocol runs fan out across a process
-    pool (same rows, same order).  With a ``tracer``, each protocol runs
+    ``workers`` > 1 fans the per-protocol runs out across a process pool
+    (same rows, same order).  With a ``tracer``, each protocol runs
     under its own stream and the streams are absorbed in protocol order
     -- byte-identical whether the rows came from the pool or not.
     """
-    recipe = None
     if trace is None:
         config = SyntheticConfig(processors=4, p_shared=0.3, p_write=0.3)
         trace = SyntheticWorkload(config, seed=seed).trace(references)
-        if workers is not None and workers > 1:
-            # The pooled sweep regenerates the trace in the workers from
-            # this compact recipe instead of unpickling it per task.
-            from repro.perf.sweeps import synthetic_trace_recipe
-
-            recipe = synthetic_trace_recipe(config, seed, references)
-    if tracer is not None:
-        if workers is not None and workers > 1:
-            from repro.perf.sweeps import protocol_comparison_parallel
-
-            payloads = protocol_comparison_parallel(
-                trace, protocols=protocols, timed=timed, workers=workers,
-                traced=True, profiler=profiler, recipe=recipe,
-            )
-        else:
-            payloads = [
-                comparison_row_traced(protocol, trace, timed)
-                for protocol in protocols
-            ]
-        rows = []
-        for payload in payloads:
-            tracer.absorb(payload["events"])
-            rows.append(payload["row"])
-        return rows
-    if workers is not None and workers > 1:
-        from repro.perf.sweeps import protocol_comparison_parallel
-
-        return protocol_comparison_parallel(
-            trace, protocols=protocols, timed=timed, workers=workers,
-            profiler=profiler, recipe=recipe,
-        )
-    return [comparison_row(protocol, trace, timed) for protocol in protocols]
+    row_fn = comparison_row if tracer is None else comparison_row_traced
+    results = parallel_map(
+        functools.partial(row_fn, trace=trace, timed=timed),
+        protocols,
+        workers=workers,
+        profiler=profiler,
+    )
+    if tracer is None:
+        return results
+    rows = []
+    for payload in results:
+        tracer.absorb(payload["events"])
+        rows.append(payload["row"])
+    return rows
 
 
 def update_vs_invalidate_row(
@@ -220,7 +203,7 @@ def update_vs_invalidate_sweep(
     references: int = 3000,
     seed: int = 11,
     processors: int = 4,
-    workers: Optional[int] = None,
+    workers: int = 0,
 ) -> list[dict]:
     """E3: broadcast-update vs invalidate as sharing intensity grows.
 
@@ -229,20 +212,16 @@ def update_vs_invalidate_sweep(
     to invalidate.  Each row reports the bus cost of both policies at one
     sharing level.  ``workers`` > 1 fans the levels out across processes.
     """
-    if workers is not None and workers > 1:
-        from repro.perf.sweeps import update_vs_invalidate_parallel
-
-        return update_vs_invalidate_parallel(
-            sharing_levels,
+    return parallel_map(
+        functools.partial(
+            update_vs_invalidate_row,
             references=references,
             seed=seed,
             processors=processors,
-            workers=workers,
-        )
-    return [
-        update_vs_invalidate_row(p_shared, references, seed, processors)
-        for p_shared in sharing_levels
-    ]
+        ),
+        sharing_levels,
+        workers=workers,
+    )
 
 
 def write_through_vs_copy_back(
@@ -292,13 +271,12 @@ HETEROGENEOUS_MIXES: dict[str, tuple[str, ...]] = {
 }
 
 
-def heterogeneous_row(
-    label: str, protocols: Sequence[str], trace: Trace
-) -> dict:
-    """One E8 row: the given board mix over ``trace``."""
+def heterogeneous_row(label: str, trace: Trace) -> dict:
+    """One E8 row: the :data:`HETEROGENEOUS_MIXES` board mix ``label``
+    over ``trace``."""
     boards = [
         BoardSpec(unit_id=unit, protocol=protocol)
-        for unit, protocol in zip(trace.units(), protocols)
+        for unit, protocol in zip(trace.units(), HETEROGENEOUS_MIXES[label])
     ]
     system = System(boards, check=False, label=label)
     report = timed_run_from_trace(system, trace).run()
@@ -310,26 +288,17 @@ def heterogeneous_row(
 def heterogeneous_mix_sweep(
     references: int = 3000,
     seed: int = 17,
-    workers: Optional[int] = None,
+    workers: int = 0,
 ) -> list[dict]:
-    """E8: keep the workload fixed, vary the board mix."""
+    """E8: keep the workload fixed, vary the board mix (``workers`` > 1
+    fans the mixes out across processes)."""
     config = SyntheticConfig(processors=4, p_shared=0.25, p_write=0.3)
     trace = SyntheticWorkload(config, seed=seed).trace(references)
-    if workers is not None and workers > 1:
-        from repro.perf.sweeps import (
-            heterogeneous_parallel,
-            synthetic_trace_recipe,
-        )
-
-        return heterogeneous_parallel(
-            trace,
-            workers=workers,
-            recipe=synthetic_trace_recipe(config, seed, references),
-        )
-    return [
-        heterogeneous_row(label, protocols, trace)
-        for label, protocols in HETEROGENEOUS_MIXES.items()
-    ]
+    return parallel_map(
+        functools.partial(heterogeneous_row, trace=trace),
+        list(HETEROGENEOUS_MIXES),
+        workers=workers,
+    )
 
 
 def broadcast_penalty_sweep(

@@ -409,21 +409,23 @@ class Session:
 
         ``spec`` may be a spec object, its ``to_dict()`` payload, or its
         canonical string.  ``workers``/``out_dir``/``backend``/``timing``
-        (and a fuzz campaign's ``shards``, which selects the
-        range-partitioned driver) are execution details: they select
-        *how* the answer is computed (and where artifacts land) without
-        entering the spec's content hash.  Tracing follows the session,
-        not ``spec.trace`` -- the module-level :func:`execute` honours
-        the flag by building the session from it.
+        are execution details: they select *how* the answer is computed
+        (and where artifacts land) without entering the spec's content
+        hash.  ``workers`` of ``None``, 0 or 1 runs every kind
+        in-process; N > 1 lets the run fan out over N pool workers.
+        Tracing follows the session, not ``spec.trace`` -- the
+        module-level :func:`execute` honours the flag by building the
+        session from it.
         """
         spec = _coerce_spec(spec)
+        workers = workers or 0
         if isinstance(spec, ExperimentSpec):
             return self._execute_experiment(spec, timing=timing)
         if isinstance(spec, VerifySpec):
             return self._execute_verify(spec, workers=workers, **kwargs)
         if isinstance(spec, FuzzSpec):
             return self._execute_fuzz(
-                spec, workers=workers or 0, out_dir=out_dir, **kwargs
+                spec, workers=workers, out_dir=out_dir, **kwargs
             )
         if isinstance(spec, ShootoutSpec):
             return self._execute_shootout(spec, workers=workers, **kwargs)
@@ -500,7 +502,7 @@ class Session:
         )
 
     def _execute_verify(
-        self, spec: VerifySpec, workers: Optional[int] = None, **kwargs
+        self, spec: VerifySpec, workers: int = 0, **kwargs
     ) -> VerifyResult:
         from repro.verify.mixes import SUITES, run_matrix
 
@@ -531,7 +533,6 @@ class Session:
         spec: FuzzSpec,
         workers: int = 0,
         out_dir: Optional[Union[str, Path]] = None,
-        shards: Optional[int] = None,
     ) -> FuzzResult:
         if spec.scenario_json is not None:
             from repro.fuzz.runner import run_fuzz_spec
@@ -549,11 +550,7 @@ class Session:
                 trace=self._snapshot_trace(),
                 profile=self.profiler,
             )
-        from repro.fuzz.campaign import (
-            CampaignConfig,
-            run_campaign,
-            run_sharded_campaign,
-        )
+        from repro.fuzz.campaign import CampaignConfig, run_campaign
 
         config = CampaignConfig(
             seeds=spec.seeds,
@@ -561,23 +558,13 @@ class Session:
             scenario=spec.scenario_config(),
             shrink=spec.shrink,
         )
-        if shards is not None:
-            report = run_sharded_campaign(
-                config,
-                shards=shards,
-                workers=workers,
-                out_dir=out_dir,
-                profiler=self.profiler,
-                tracer=self.tracer,
-            )
-        else:
-            report = run_campaign(
-                config,
-                workers=workers,
-                out_dir=out_dir,
-                profiler=self.profiler,
-                tracer=self.tracer,
-            )
+        report = run_campaign(
+            config,
+            workers=workers,
+            out_dir=out_dir,
+            profiler=self.profiler,
+            tracer=self.tracer,
+        )
         return FuzzResult(
             report=report,
             trace=self._snapshot_trace(),
@@ -587,7 +574,7 @@ class Session:
     def _execute_shootout(
         self,
         spec: ShootoutSpec,
-        workers: Optional[int] = None,
+        workers: int = 0,
         **kwargs,
     ) -> list:
         from repro.analysis.compare import protocol_comparison
@@ -610,10 +597,10 @@ class Session:
         self,
         spec: BatchSpec,
         backend: Optional[str] = None,
-        workers: Optional[int] = None,
+        workers: int = 0,
         **kwargs,
     ) -> list:
-        from repro.perf.sweeps import batch_protocol_sweep
+        from repro.perf.batch import batch_protocol_sweep
 
         return batch_protocol_sweep(
             protocols=spec.protocols,

@@ -606,7 +606,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         ),
         workers=args.workers,
         out_dir=args.out,
-        shards=args.shards,
     )
     report = result.report
     metrics = {
@@ -848,10 +847,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="first seed (campaigns are pure functions of seeds)")
     p.add_argument("--workers", type=int, default=0,
                    help="worker processes; 0 = serial (identical output)")
-    p.add_argument("--shards", type=int, default=None,
-                   help="partition the seed range into N pool tasks "
-                        "(byte-identical report at any count; default: "
-                        "one task per seed)")
     p.add_argument("--out", default="fuzz_repros",
                    help="directory for shrunk repro_seed<N>.json files")
     p.add_argument("--inject", metavar="BUG",

@@ -1,22 +1,18 @@
 """Seeded fuzz campaigns: fan-out, shrinking, repro files, summaries.
 
 A campaign runs seeds ``seed_base .. seed_base + seeds - 1`` through
-:func:`repro.fuzz.runner.run_scenario`, fanning out over
-:func:`repro.perf.pool.parallel_map`.  Because each seed's scenario
-and verdict are pure functions of ``(seed, config)``, and results come
-back in input order, ``--workers N`` and ``--workers 0`` produce
-byte-identical campaign summaries -- the worker count is deliberately
-excluded from the report.
+:func:`repro.fuzz.runner.run_scenario`, fanning contiguous seed ranges
+(shards) out over :func:`repro.perf.pool.parallel_map`.  Each shard
+returns one aggregate digest, so a million-seed campaign ships back
+kilobytes, not a million dicts.  Because each seed's scenario and
+verdict are pure functions of ``(seed, config)``, and shards come back
+in range (= seed) order, ``--workers N`` and ``--workers 0`` produce
+byte-identical campaign summaries -- the worker and shard counts are
+deliberately excluded from the report.
 
 Failing seeds are shrunk in the parent process (in seed order, so the
 report is deterministic) and written as replayable repro files named
 ``repro_seed<N>.json``.
-
-:func:`run_sharded_campaign` scales the same engine to millions of
-seeds: contiguous seed ranges become the pool tasks, each shard returns
-one aggregate digest, and the parent re-splices them in range order and
-shrinks through the shared :func:`_collect_failures` stage -- the
-report stays byte-identical at any shard count.
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ __all__ = [
     "CampaignFailure",
     "CampaignReport",
     "run_campaign",
-    "run_sharded_campaign",
     "shard_ranges",
 ]
 
@@ -126,78 +121,6 @@ class CampaignReport:
         return "\n".join(lines) + "\n"
 
 
-def _run_one(scenario_config: dict, seed: int) -> dict:
-    """Pool worker: run one seed; returns a picklable digest.
-
-    The scenario config travels bound via :func:`functools.partial` (one
-    pickle per chunk) so tasks are bare seed integers.  The scenario
-    itself is not shipped back -- the parent regenerates it from the
-    seed when (and only when) it needs to shrink a failure.
-    """
-    scenario = generate_scenario(seed, ScenarioConfig.from_dict(scenario_config))
-    result = run_scenario(scenario)
-    return {
-        "seed": seed,
-        "steps_run": result.steps_run,
-        "transitions_checked": result.transitions_checked,
-        "failure": result.failure.to_dict() if result.failure else None,
-    }
-
-
-def run_campaign(
-    config: Optional[CampaignConfig] = None,
-    workers: int = 0,
-    out_dir: Optional[Union[str, Path]] = None,
-    profiler=None,
-    tracer=None,
-) -> CampaignReport:
-    """The per-seed campaign driver behind ``execute(plan("fuzz", ...))``.
-
-    ``workers=0`` means serial (same report either way).  A
-    :class:`repro.obs.profile.Profiler` times the execute/shrink stages;
-    a :class:`repro.obs.trace.Tracer` gets stage and per-failure marks.
-    """
-    config = config or CampaignConfig()
-    task_fn = functools.partial(_run_one, config.scenario.to_dict())
-    tasks = range(config.seed_base, config.seed_base + config.seeds)
-    if tracer is not None:
-        tracer.mark(
-            "fuzz.start", seeds=config.seeds, seed_base=config.seed_base
-        )
-    if profiler is not None:
-        with profiler.region("fuzz.execute", seeds=len(tasks)):
-            digests = parallel_map(task_fn, tasks, workers=workers)
-    else:
-        digests = parallel_map(task_fn, tasks, workers=workers)
-
-    steps_run = 0
-    transitions_checked = 0
-    failing: list[tuple[int, dict]] = []
-    for digest in digests:
-        steps_run += digest["steps_run"]
-        transitions_checked += digest["transitions_checked"]
-        if digest["failure"] is not None:
-            failing.append((digest["seed"], digest["failure"]))
-    failures = _collect_failures(
-        config, failing, out_dir=out_dir, profiler=profiler, tracer=tracer
-    )
-
-    if tracer is not None:
-        tracer.mark(
-            "fuzz.done",
-            seeds_run=len(digests),
-            steps_run=steps_run,
-            failures=len(failures),
-        )
-    return CampaignReport(
-        config=config,
-        seeds_run=len(digests),
-        steps_run=steps_run,
-        transitions_checked=transitions_checked,
-        failures=failures,
-    )
-
-
 def _collect_failures(
     config: CampaignConfig,
     failing: list,
@@ -206,10 +129,7 @@ def _collect_failures(
     tracer=None,
 ) -> list[CampaignFailure]:
     """Shrink ``(seed, failure_dict)`` pairs -- already in seed order --
-    into :class:`CampaignFailure` items and write their repro files.
-
-    Shared by the per-seed and sharded drivers: both feed the same pairs
-    in the same order, so the resulting reports are byte-identical."""
+    into :class:`CampaignFailure` items and write their repro files."""
     failures: list[CampaignFailure] = []
     for seed, failure_dict in failing:
         failure = StepFailure.from_dict(failure_dict)
@@ -252,9 +172,6 @@ def _shrink_stage(config: CampaignConfig, scenario: Scenario):
     return scenario, run_scenario(scenario)
 
 
-# ---------------------------------------------------------------------------
-# Sharded campaigns: seed ranges as pool tasks (PR 9).
-# ---------------------------------------------------------------------------
 def shard_ranges(seed_base: int, seeds: int, shards: int) -> list[tuple]:
     """Partition ``seed_base .. seed_base + seeds - 1`` into at most
     ``shards`` contiguous ``(start, count)`` ranges, earlier ranges one
@@ -276,9 +193,10 @@ def _run_shard(scenario_config: dict, shard: tuple) -> dict:
     """Pool worker: run one contiguous seed range serially.
 
     Returns one aggregate digest per *range*, not per seed -- totals
-    plus the failing seeds' verdicts -- so a million-seed campaign ships
-    back kilobytes, not a million dicts.  Scenarios still regenerate in
-    the parent for shrinking, exactly as in the per-seed driver."""
+    plus the failing seeds' verdicts.  The scenario config travels bound
+    via :func:`functools.partial` (one pickle per chunk), and scenarios
+    are not shipped back: the parent regenerates a failing seed's
+    scenario when it shrinks it."""
     start, count = shard
     config = ScenarioConfig.from_dict(scenario_config)
     steps_run = 0
@@ -298,44 +216,30 @@ def _run_shard(scenario_config: dict, shard: tuple) -> dict:
     }
 
 
-def run_sharded_campaign(
+def run_campaign(
     config: Optional[CampaignConfig] = None,
-    shards: Optional[int] = None,
     workers: int = 0,
     out_dir: Optional[Union[str, Path]] = None,
     profiler=None,
     tracer=None,
 ) -> CampaignReport:
-    """The campaign engine at population scale: seed ranges as tasks.
+    """The campaign driver behind ``execute(plan("fuzz", ...))``.
 
-    The per-seed driver (:func:`run_campaign`, which ``execute`` picks
-    when no ``shards`` count is given) pickles one task and one digest
-    per seed; at millions of seeds that wire traffic dominates.  Here
-    each pool task is a whole contiguous seed range and returns one
-    aggregate digest, re-spliced in range order (= seed order) and
-    shrunk through the same :func:`_collect_failures` stage -- so the
-    report is byte-identical to the per-seed driver's at **any** shard
-    count, including 1.
-
-    ``shards`` defaults to ``4x`` the worker count (load balancing
-    without per-seed dispatch); ``workers=0`` runs the shards serially.
+    The seed range splits into ``4x`` the worker count of contiguous
+    shards (load balancing without per-seed dispatch); ``workers=0``
+    runs them serially, with the same report.  A
+    :class:`repro.obs.profile.Profiler` times the execute/shrink stages;
+    a :class:`repro.obs.trace.Tracer` gets stage and per-failure marks.
     """
     config = config or CampaignConfig()
-    if shards is None:
-        shards = 4 * max(1, workers)
-    ranges = shard_ranges(config.seed_base, config.seeds, shards)
+    ranges = shard_ranges(config.seed_base, config.seeds, 4 * max(1, workers))
     task_fn = functools.partial(_run_shard, config.scenario.to_dict())
     if tracer is not None:
         tracer.mark(
-            "fuzz.start",
-            seeds=config.seeds,
-            seed_base=config.seed_base,
-            shards=len(ranges),
+            "fuzz.start", seeds=config.seeds, seed_base=config.seed_base
         )
     if profiler is not None:
-        with profiler.region(
-            "fuzz.execute", seeds=config.seeds, shards=len(ranges)
-        ):
+        with profiler.region("fuzz.execute", seeds=config.seeds):
             digests = parallel_map(task_fn, ranges, workers=workers)
     else:
         digests = parallel_map(task_fn, ranges, workers=workers)

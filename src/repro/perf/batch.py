@@ -49,6 +49,7 @@ shape, and :func:`verify_rows` diffs the two byte-for-byte.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 import time
 from array import array
@@ -59,7 +60,9 @@ from repro.core.transitions import (
     bus_event_code_table,
     lower_batch_tables,
 )
+from repro.perf.pool import parallel_map
 from repro.protocols.registry import make_protocol
+from repro.specs import BatchSpec
 
 #: numpy once :func:`_numpy` has loaded it, ``None`` when it is absent
 #: (setting ``None`` forces the python backend), ``False`` before the
@@ -73,6 +76,7 @@ __all__ = [
     "NotBatchableError",
     "EVENT_KIND_CODES",
     "available_backends",
+    "batch_protocol_sweep",
     "batchable_specs",
     "default_backend",
     "envelope_geometry",
@@ -1495,8 +1499,8 @@ def run_batch_specs(
 
     Returns one row-list per spec, ordered like ``spec.protocols``.
     This is the only code that turns specs into rows:
-    :func:`repro.perf.sweeps.batch_protocol_sweep` runs one-protocol
-    specs through it on the pool.  Each row's wall-clock
+    :func:`batch_protocol_sweep` runs one-protocol specs through it on
+    the pool.  Each row's wall-clock
     ``transitions_per_sec`` is the throughput of the kernel call that
     produced it -- for a one-protocol spec, that protocol's own run (the
     serve tier strips the field from payloads).
@@ -1556,3 +1560,70 @@ def run_batch_specs(
                 ),
             }
     return out
+
+
+# ---------------------------------------------------------------------------
+# Batch-kernel population sweep.
+# ---------------------------------------------------------------------------
+def _batch_task(
+    backend: Optional[str], tables_shm: Optional[str], spec: BatchSpec
+) -> dict:
+    """One pooled batch run; the task is a one-protocol
+    :class:`~repro.specs.BatchSpec` -- a spec string plus integers,
+    nothing object-shaped on the wire.
+
+    ``tables_shm`` names the parent's shared-memory tables segment; the
+    worker attaches once (memoized per process) and seeds the lowering
+    cache from the mapping, so no worker ever re-derives -- or receives
+    a pickled copy of -- the compiled transition tables."""
+    if tables_shm is not None:
+        from repro.perf.shared import attach_tables
+
+        try:
+            attach_tables(tables_shm)
+        except Exception:
+            pass  # segment gone or unsupported: lower directly below
+    return run_batch_specs([spec], backend=backend)[0][0]
+
+
+def batch_protocol_sweep(
+    protocols: Optional[Sequence[str]] = None,
+    rows: int = 64,
+    events_per_row: int = 100,
+    seed: int = 0,
+    n_units: int = 2,
+    geometry: tuple = (4, 2, 32, 8),
+    backend: Optional[str] = None,
+    workers: Optional[int] = None,
+) -> list[dict]:
+    """One batch-kernel population per protocol, fanned over the pool.
+
+    ``protocols`` defaults to every registry spec the lowering accepts
+    (:func:`repro.perf.batch.batchable_specs`).  Each task is a
+    one-protocol copy of the sweep's spec, run through
+    :func:`repro.perf.batch.run_batch_specs` in the worker."""
+    if protocols is None:
+        protocols = batchable_specs()
+    from repro.perf.shared import publish_tables, unlink_tables
+
+    try:
+        tables_shm = publish_tables(list(protocols))
+    except Exception:
+        tables_shm = None  # no shared memory here: workers lower directly
+    task_fn = functools.partial(_batch_task, backend, tables_shm)
+    tasks = [
+        BatchSpec(
+            protocols=(protocol,),
+            rows=rows,
+            events_per_row=events_per_row,
+            seed=seed,
+            n_units=n_units,
+            geometry=tuple(geometry),
+        )
+        for protocol in protocols
+    ]
+    try:
+        return parallel_map(task_fn, tasks, workers=workers)
+    finally:
+        if tables_shm is not None:
+            unlink_tables(tables_shm)

@@ -43,11 +43,13 @@ import os
 import pickle
 import time
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Optional, Sequence, TypeVar
+from concurrent.futures import FIRST_COMPLETED, wait
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar
 
 from repro.core.transitions import tables_epoch
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "ADAPTIVE_CUTOVER_S",
@@ -153,6 +155,10 @@ def get_executor(workers: int) -> ProcessPoolExecutor:
     """
     global _executor, _executor_workers, _executor_pid, _executor_epoch
     global _atexit_registered
+    # Loaded here, not at import: it pulls in multiprocessing, which a
+    # map that stays in-process never needs.
+    from concurrent.futures import ProcessPoolExecutor
+
     workers = max(1, workers)
     if _executor is not None and _executor_pid != os.getpid():
         # Forked child: the handle belongs to the parent.  Drop it
@@ -313,6 +319,8 @@ def dispatch_one(
     except (OSError, ValueError):
         executor = None
     if executor is not None:
+        from concurrent.futures.process import BrokenProcessPool
+
         try:
             return run_chunked(
                 fn, [item], 1, executor=executor, timeout_s=timeout_s
@@ -415,6 +423,8 @@ def _map(fn: Callable[[T], R], items: list[T], workers: int) -> list[R]:
     except (OSError, ValueError):  # restricted sandbox / no semaphores
         _warn_degrade("pool-start", "process pool unavailable here")
         return head + _serial_map(fn, items)
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
         return head + run_chunked(fn, items, workers, executor=executor)
     except BrokenProcessPool:

@@ -343,7 +343,7 @@ def tables_for_epoch() -> Optional[str]:
     """The long-lived publish-once segment for serving tiers.
 
     Unlike the per-sweep publish/unlink in
-    :func:`repro.perf.sweeps.batch_protocol_sweep`, a daemon coalescing
+    :func:`repro.perf.batch.batch_protocol_sweep`, a daemon coalescing
     requests wants one segment for its whole life: published on first
     use, reused for every population, and republished only when
     ``set_fast_tables`` bumps the tables epoch (the same signal that

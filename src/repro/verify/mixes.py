@@ -19,6 +19,7 @@ returns per-row results for the report and the benchmarks.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Callable, Optional, Sequence
 
 from repro.verify.explorer import ExplorationResult, explore
@@ -31,6 +32,7 @@ __all__ = [
     "homogeneous_foreign",
     "incompatible_mixes",
     "mutant_mixes",
+    "case_row",
     "matrix_row",
     "run_matrix",
 ]
@@ -40,30 +42,23 @@ __all__ = [
 class MixCase:
     """One verification row: protocols to mix and the expected outcome.
 
-    ``suite_ref`` names the case's home suite as ``(suite_name, index)``
-    so worker processes can rebuild it from :data:`SUITES` -- cases whose
-    specs are callables (the mutants) cannot be pickled directly.
+    Every case in :data:`SUITES` pickles (its specs are registry names or
+    module-level :func:`functools.partial` factories), so the matrix can
+    ship cases to worker processes as they are.
     """
 
     specs: Sequence
     expect_consistent: bool
     label: Optional[str] = None
     note: str = ""
-    suite_ref: Optional[tuple[str, int]] = None
 
     def run(self, **kwargs) -> ExplorationResult:
         return explore(self.specs, label=self.label, **kwargs)
 
 
-def _stamp(suite_name: str, cases: list["MixCase"]) -> list["MixCase"]:
-    for index, case in enumerate(cases):
-        case.suite_ref = (suite_name, index)
-    return cases
-
-
 def class_member_mixes() -> list[MixCase]:
     """Mixes drawn from MOESI-class members: all must be consistent."""
-    return _stamp("class-members", [
+    return [
         MixCase(["moesi", "moesi"], True, note="homogeneous preferred"),
         MixCase(
             ["moesi-scripted", "moesi-scripted"],
@@ -105,23 +100,23 @@ def class_member_mixes() -> list[MixCase]:
             True,
             note="closure against fixed members",
         ),
-    ])
+    ]
 
 
 def homogeneous_foreign() -> list[MixCase]:
     """BS-adapted foreign protocols among themselves: consistent."""
-    return _stamp("homogeneous-foreign", [
+    return [
         MixCase(["write-once", "write-once"], True, note="Table 5"),
         MixCase(["illinois", "illinois"], True, note="Table 6"),
         MixCase(["firefly", "firefly"], True, note="Table 7"),
         MixCase(["illinois", "illinois", "illinois"], True),
         MixCase(["write-once", "write-once", "write-once"], True),
-    ])
+    ]
 
 
 def incompatible_mixes() -> list[MixCase]:
     """Naive foreign/class mixes: the explorer must find the holes."""
-    return _stamp("incompatible", [
+    return [
         MixCase(
             ["write-once", "moesi"],
             False,
@@ -143,26 +138,29 @@ def incompatible_mixes() -> list[MixCase]:
             False,
             note="undefined snoop behaviour for uncached accesses",
         ),
-    ])
+    ]
+
+
+def _build_mutant(mutant_cls, chooser):
+    """Protocol factory of a mutant case; bound with
+    :func:`functools.partial`, it pickles by reference."""
+    return mutant_cls()
 
 
 def mutant_mixes() -> list[MixCase]:
     """Out-of-class mutants against a correct partner: all must fail."""
-    cases = []
-    for mutant_cls in ALL_MUTANTS:
-        cases.append(
-            MixCase(
-                [lambda chooser, cls=mutant_cls: cls(), "moesi"],
-                False,
-                label=f"{mutant_cls.__name__}+moesi",
-                note="single-cell out-of-class mutation",
-            )
+    return [
+        MixCase(
+            [functools.partial(_build_mutant, mutant_cls), "moesi"],
+            False,
+            label=f"{mutant_cls.__name__}+moesi",
+            note="single-cell out-of-class mutation",
         )
-    return _stamp("mutants", cases)
+        for mutant_cls in ALL_MUTANTS
+    ]
 
 
-#: Named case suites, addressable from worker processes: a stamped
-#: ``suite_ref`` is resolved back to its case by re-running the factory.
+#: Named case suites (the names a :class:`repro.specs.VerifySpec` lists).
 SUITES: dict[str, Callable[[], list[MixCase]]] = {
     "class-members": class_member_mixes,
     "homogeneous-foreign": homogeneous_foreign,
@@ -172,9 +170,7 @@ SUITES: dict[str, Callable[[], list[MixCase]]] = {
 
 
 def matrix_row(case: MixCase, result: ExplorationResult) -> dict:
-    """The report row for one executed case (shared by the serial path
-    and the :mod:`repro.perf.matrix` workers, so both emit identical
-    rows)."""
+    """The report row for one executed case."""
     return {
         "mix": result.label,
         "expected": "consistent" if case.expect_consistent else "violation",
@@ -186,36 +182,37 @@ def matrix_row(case: MixCase, result: ExplorationResult) -> dict:
     }
 
 
+def case_row(case: MixCase, **kwargs) -> dict:
+    """Explore one case and return its report row (the pooled task)."""
+    return matrix_row(case, case.run(**kwargs))
+
+
 def run_matrix(
     cases: Sequence[MixCase],
-    workers: Optional[int] = None,
+    workers: int = 0,
     tracer=None,
     profiler=None,
     **kwargs,
 ) -> list[dict]:
     """Run each case; return report rows with pass/fail vs expectation.
 
-    With ``workers`` > 1 the cases fan out across a process pool (rows
-    come back in case order, identical to a serial run); otherwise they
-    run serially in-process.  A :class:`repro.obs.trace.Tracer` gets one
+    The cases go through :func:`repro.perf.pool.parallel_map`: in-process
+    at ``workers`` <= 1, else across the pool (rows in case order,
+    identical either way).  A :class:`repro.obs.trace.Tracer` gets one
     ``verify.case`` mark per row -- derived from the rows themselves, so
     the marks are identical for serial and pooled runs; a
     :class:`repro.obs.profile.Profiler` times the whole matrix.
     """
-    def _execute() -> list[dict]:
-        if workers is not None and workers > 1:
-            from repro.perf.matrix import run_matrix_parallel
+    from repro.perf.pool import parallel_map
 
-            return run_matrix_parallel(cases, workers=workers, **kwargs)
-        return [matrix_row(case, case.run(**kwargs)) for case in cases]
-
+    row_fn = functools.partial(case_row, **kwargs)
     if profiler is not None:
         with profiler.region(
             "verify.matrix", cases=len(cases), workers=workers or 1
         ):
-            rows = _execute()
+            rows = parallel_map(row_fn, cases, workers=workers)
     else:
-        rows = _execute()
+        rows = parallel_map(row_fn, cases, workers=workers)
     if tracer is not None:
         for row in rows:
             tracer.mark(

@@ -12,6 +12,16 @@ from repro.memory.main_memory import MainMemory
 from repro.protocols.registry import make_protocol
 
 
+@pytest.fixture
+def force_pool(monkeypatch):
+    """Send every multi-item map to the pool: a multi-core host and a
+    zero cutover, so no projected cost counts as too cheap."""
+    import repro.perf.pool as pool_mod
+
+    monkeypatch.setattr(pool_mod.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(pool_mod, "ADAPTIVE_CUTOVER_S", 0.0)
+
+
 class MiniSystem:
     """A hand-wired bus + memory + controllers rig for scenario tests.
 

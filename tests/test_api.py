@@ -228,3 +228,23 @@ class TestSessionProfile:
     def test_disabled_by_default(self):
         session = Session()
         assert session.profiler is None and session.tracer is None
+
+
+class TestDefaultWorkers:
+    @pytest.mark.parametrize("kind, kwargs", [
+        ("experiment", {"references": 100}),
+        ("verify", {"suites": ["homogeneous-foreign"]}),
+        ("fuzz", {"seeds": 8}),
+        ("shootout", {"references": 200, "protocols": ["moesi", "dragon"]}),
+        ("batch", {"protocols": ["moesi", "dragon"], "rows": 4,
+                   "events_per_row": 20}),
+    ])
+    def test_default_workers_run_in_process(self, kind, kwargs, force_pool):
+        """``workers=None`` means in-process for every kind, even where
+        the pool would otherwise take the map (``force_pool``)."""
+        from repro.perf.pool import pool_stats
+
+        before = pool_stats()["maps"]
+        execute(plan(kind, **kwargs))
+        Session().execute(plan(kind, **kwargs), workers=None)
+        assert pool_stats()["maps"] == before

@@ -4,7 +4,8 @@ does not depend on the hash seed.
 * **Import hygiene.**  Fuzz, verify, the CLI and the serve daemon never
   import ``networkx`` (the optional ``diagram`` extra) or ``numpy`` (the
   optional ``perf`` extra); numpy loads only when a numpy-backend batch
-  population runs.
+  population runs.  ``import repro`` and an experiment run do not load
+  the process pool (nor, through it, :mod:`multiprocessing`).
 * **The diagram extra.**  Without networkx, ``repro diagram`` fails with
   one line naming the extra, and the rest of :mod:`repro.analysis` still
   imports.
@@ -84,6 +85,18 @@ def test_entry_paths_load_neither_optional_package():
     assert "python-backend []" in lines
     if HAVE_NUMPY:
         assert "numpy-backend ['numpy']" in lines
+
+
+def test_experiment_path_does_not_load_the_pool():
+    child = _run(
+        "import sys\n"
+        "from repro import execute, plan\n"
+        "execute(plan('experiment', references=50))\n"
+        "print(sorted(m for m in ('multiprocessing', 'repro.perf.pool')\n"
+        "             if m in sys.modules))\n"
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines() == ["[]"]
 
 
 def test_diagram_without_networkx_names_the_extra():

@@ -19,6 +19,7 @@ from repro.fuzz import (
     run_scenario,
 )
 from repro.fuzz.scenario import FuzzEvent, Geometry, Scenario
+from repro.perf.pool import pool_stats
 
 
 def _bug_config(name, seeds=30):
@@ -38,21 +39,32 @@ class TestCleanCampaign:
 
 
 class TestByteReproducibility:
-    """The acceptance criterion: worker count must not leak into output."""
+    """The acceptance criterion: worker count must not leak into output.
 
-    def test_serial_and_parallel_summaries_identical(self, tmp_path):
+    ``force_pool`` sends the pooled runs to the pool for real; each
+    asserts that a pool map ran."""
+
+    def test_serial_and_parallel_summaries_identical(
+        self, tmp_path, force_pool
+    ):
         config = _bug_config("illinois-silent-im", seeds=12)
         serial = run_campaign(config, workers=0,
                               out_dir=tmp_path / "serial")
+        before = pool_stats()["maps"]
         parallel = run_campaign(config, workers=2,
                                 out_dir=tmp_path / "parallel")
+        assert pool_stats()["maps"] > before
         assert serial.summary_text() == parallel.summary_text()
         assert serial.summary_json() == parallel.summary_json()
 
-    def test_repro_files_byte_identical_across_worker_counts(self, tmp_path):
+    def test_repro_files_byte_identical_across_worker_counts(
+        self, tmp_path, force_pool
+    ):
         config = _bug_config("moesi-drop-ownership", seeds=10)
         run_campaign(config, workers=0, out_dir=tmp_path / "a")
+        before = pool_stats()["maps"]
         run_campaign(config, workers=3, out_dir=tmp_path / "b")
+        assert pool_stats()["maps"] > before
         names_a = sorted(p.name for p in (tmp_path / "a").iterdir())
         names_b = sorted(p.name for p in (tmp_path / "b").iterdir())
         assert names_a == names_b and names_a
@@ -137,8 +149,8 @@ class TestReplayErrors:
 
 
 class TestShardedCampaign:
-    """Range-partitioned campaigns: byte-identical to per-seed at any
-    shard count, failures and repro files included."""
+    """Campaigns run as contiguous seed-range shards: byte-identical at
+    any shard count, failures and repro files included."""
 
     def test_shard_ranges_partition_contiguously(self):
         from repro.fuzz.campaign import shard_ranges
@@ -153,25 +165,33 @@ class TestShardedCampaign:
         assert shard_ranges(0, 3, 8) == [(0, 1), (1, 1), (2, 1)]
         assert shard_ranges(0, 0, 4) == []
 
-    @pytest.mark.parametrize("shards", [1, 2, 8])
-    def test_clean_campaign_shard_invariant(self, shards):
-        from repro.fuzz.campaign import run_sharded_campaign
+    @staticmethod
+    def _pin_shards(monkeypatch, shards):
+        """Make run_campaign split into ``shards`` ranges, whatever its
+        worker count asks for."""
+        from repro.fuzz import campaign
 
+        split = campaign.shard_ranges
+        monkeypatch.setattr(
+            campaign, "shard_ranges",
+            lambda base, seeds, _asked: split(base, seeds, shards),
+        )
+
+    @pytest.mark.parametrize("shards", [1, 2, 8])
+    def test_clean_campaign_shard_invariant(self, shards, monkeypatch):
         config = CampaignConfig(seeds=24)
         base = run_campaign(config, workers=0)
-        got = run_sharded_campaign(config, shards=shards, workers=0)
+        self._pin_shards(monkeypatch, shards)
+        got = run_campaign(config, workers=0)
         assert got.summary_json() == base.summary_json()
         assert got.summary_text() == base.summary_text()
 
-    def test_failing_campaign_shard_invariant(self, tmp_path):
-        from repro.fuzz.campaign import run_sharded_campaign
-
+    def test_failing_campaign_shard_invariant(self, tmp_path, monkeypatch):
         config = _bug_config("moesi-drop-ownership", seeds=16)
         base = run_campaign(config, workers=0, out_dir=tmp_path / "seed")
         assert base.failures, "expected the injected bug to fire"
-        got = run_sharded_campaign(
-            config, shards=3, workers=0, out_dir=tmp_path / "shard"
-        )
+        self._pin_shards(monkeypatch, 3)
+        got = run_campaign(config, workers=0, out_dir=tmp_path / "shard")
         assert got.summary_json() == base.summary_json()
         names = sorted(p.name for p in (tmp_path / "shard").iterdir())
         assert names == sorted(p.name for p in (tmp_path / "seed").iterdir())
@@ -180,16 +200,19 @@ class TestShardedCampaign:
                 tmp_path / "seed" / name
             ).read_bytes()
 
-    def test_pooled_shards_match_serial(self):
-        from repro.fuzz.campaign import run_sharded_campaign
-
+    def test_pooled_shards_match_serial(self, force_pool):
         config = CampaignConfig(seeds=20)
-        serial = run_sharded_campaign(config, shards=4, workers=0)
-        pooled = run_sharded_campaign(config, shards=4, workers=2)
+        serial = run_campaign(config, workers=0)
+        before = pool_stats()["maps"]
+        pooled = run_campaign(config, workers=2)
+        assert pool_stats()["maps"] > before
         assert pooled.summary_json() == serial.summary_json()
 
     def test_facade_passthrough(self):
         from repro.api import execute, plan
 
-        result = execute(plan("fuzz", seeds=8), shards=2)
+        result = execute(plan("fuzz", seeds=8), workers=2)
         assert result.report.seeds_run == 8
+        # The shard count follows the workers; it is not an option.
+        with pytest.raises(TypeError):
+            execute(plan("fuzz", seeds=8), shards=2)

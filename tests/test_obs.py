@@ -321,22 +321,32 @@ class TestSystemReportRoundTrip:
 
 
 class TestSerialParallelEquivalence:
-    def test_traced_shootout_merge_is_byte_identical(self):
+    """``force_pool`` sends the pooled runs to the pool for real; each
+    asserts that a pool map ran."""
+
+    def test_traced_shootout_merge_is_byte_identical(self, force_pool):
+        from repro.perf.pool import pool_stats
+
         spec = plan("shootout", references=300,
                     protocols=["moesi", "dragon", "illinois"])
         serial = Session(label="cmp", trace=True)
         serial.execute(spec, workers=None)
         parallel = Session(label="cmp", trace=True)
+        before = pool_stats()["maps"]
         parallel.execute(spec, workers=2)
+        assert pool_stats()["maps"] > before
         assert serial.trace_jsonl() == parallel.trace_jsonl()
 
-    def test_traced_verify_marks_are_identical(self):
+    def test_traced_verify_marks_are_identical(self, force_pool):
+        from repro.perf.pool import pool_stats
         from repro.verify.mixes import class_member_mixes, run_matrix
 
         serial = Tracer(stream="v")
-        run_matrix(class_member_mixes()[:4], workers=None, tracer=serial)
+        run_matrix(class_member_mixes()[:4], workers=0, tracer=serial)
         parallel = Tracer(stream="v")
+        before = pool_stats()["maps"]
         run_matrix(class_member_mixes()[:4], workers=2, tracer=parallel)
+        assert pool_stats()["maps"] > before
         assert to_jsonl(serial.export()) == to_jsonl(parallel.export())
 
 

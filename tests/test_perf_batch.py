@@ -304,7 +304,7 @@ class TestBatchCampaign:
 
 class TestSweepEntryPoints:
     def test_batch_protocol_sweep_rows(self):
-        from repro.perf.sweeps import batch_protocol_sweep
+        from repro.perf.batch import batch_protocol_sweep
 
         rows = batch_protocol_sweep(
             protocols=("moesi", "berkeley"), rows=6, events_per_row=30,

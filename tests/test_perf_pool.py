@@ -68,14 +68,6 @@ def _burn(n):
     return total + n
 
 
-@pytest.fixture
-def force_pool(monkeypatch):
-    """Send every multi-item map to the pool: a multi-core host and a
-    zero cutover, so no projected cost counts as too cheap."""
-    monkeypatch.setattr(pool_mod.os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(pool_mod, "ADAPTIVE_CUTOVER_S", 0.0)
-
-
 class TestResolveWorkers:
     def test_explicit_wins(self):
         assert resolve_workers(3) == 3
