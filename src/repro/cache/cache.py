@@ -56,6 +56,9 @@ class SetAssociativeCache:
         self._sets: list[list[CacheLine]] = [
             [CacheLine() for _ in range(associativity)] for _ in range(num_sets)
         ]
+        # num_sets is a power of two: set = line & mask, tag = line >> shift.
+        self._set_mask = num_sets - 1
+        self._tag_shift = num_sets.bit_length() - 1
 
     # ------------------------------------------------------------------
     # Address arithmetic.
@@ -83,17 +86,20 @@ class SetAssociativeCache:
     def lookup(self, line_address: int) -> Optional[tuple[int, int, CacheLine]]:
         """Find a valid line; returns (set_index, way, line) or None.
 
-        Every processor reference and every snooped transaction probes
-        here, so the loop stays free of property/method dispatch: the
-        tag compare comes first (a plain attribute), and validity is an
-        identity test against INVALID rather than the ``valid``
-        property chain.
+        Every processor reference, every snooped transaction and the
+        per-access invariant precheck probe here, so the set and tag are
+        a mask and a shift, the way is a plain counter, the tag compare
+        comes first (a plain attribute), and validity is an identity test
+        against INVALID.
         """
-        tag, set_index = divmod(line_address, self.num_sets)
+        set_index = line_address & self._set_mask
+        tag = line_address >> self._tag_shift
         invalid = _INVALID
-        for way, line in enumerate(self._sets[set_index]):
+        way = 0
+        for line in self._sets[set_index]:
             if line.tag == tag and line.state is not invalid:
                 return set_index, way, line
+            way += 1
         return None
 
     def probe_state(self, line_address: int) -> LineState:

@@ -467,16 +467,6 @@ class CacheController(BusAgent):
         found = self.cache.lookup(line_address)
         return found[2].value if found else None
 
-    def probe_copy(self, line_address: int) -> Optional[tuple[LineState, int]]:
-        """(state, value) of a valid copy, or None -- one directory probe
-        where ``state_of`` + ``value_of`` would take two (the per-access
-        invariant checker's loop)."""
-        found = self.cache.lookup(line_address)
-        if found is None:
-            return None
-        line = found[2]
-        return line.state, line.value
-
     def cached_lines(self):
         """Yield (line_address, state, value) for every valid line."""
         for line_address, line in self.cache.valid_lines():
@@ -561,9 +551,6 @@ class NonCachingMaster(BusAgent):
 
     def state_of(self, line_address: int) -> LineState:
         return LineState.INVALID
-
-    def probe_copy(self, line_address: int) -> None:
-        return None
 
     def cached_lines(self):
         return iter(())

@@ -350,8 +350,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
     )
     obs = report["obs"]
-    print(f"\nobservability tax ({obs['references']} refs, best of "
-          f"{obs['repeats']}): disabled {obs['overhead_disabled_pct']:+.2f}%,"
+    print(f"\nobservability tax ({obs['references']} refs, median of "
+          f"{obs['repeats']} paired rounds): disabled {obs['overhead_disabled_pct']:+.2f}%,"
           f" traced {obs['overhead_traced_pct']:+.2f}% vs direct")
     batch = report.get("batch")
     if batch is not None:

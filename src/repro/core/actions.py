@@ -144,16 +144,15 @@ class LocalAction:
             raise ValueError("an address-only invalidate must assert CA")
         if self.bc_dont_care and self.signals.bc:
             raise ValueError("BC? (don't care) excludes asserting BC outright")
-
-    @property
-    def uses_bus(self) -> bool:
-        """Whether this action generates at least one bus transaction."""
-        return self.bus_op is not BusOp.NONE or self.signals.im or self.signals.ca
-
-    @property
-    def is_silent(self) -> bool:
-        """A purely local transition with no bus activity."""
-        return not self.uses_bus
+        # Plain attributes, not fields (so ``==``, ``hash`` and
+        # ``notation()`` ignore them): the controller reads them on every
+        # access.  ``uses_bus``: whether this action generates at least
+        # one bus transaction; ``is_silent``: a purely local transition.
+        uses_bus = bool(
+            self.bus_op is not BusOp.NONE or self.signals.im or self.signals.ca
+        )
+        object.__setattr__(self, "uses_bus", uses_bus)
+        object.__setattr__(self, "is_silent", not uses_bus)
 
     def notation(self) -> str:
         """Render in the paper's cell notation, e.g. ``CH:O/M,CA,IM,BC,W``."""

@@ -96,19 +96,9 @@ class LineState(enum.Enum):
 
     # ------------------------------------------------------------------
     # Derived pairwise qualities (paper section 3.1.4, Figure 4).
+    # ``intervenient`` and ``sole_copy`` are plain attributes, assigned
+    # below: the per-access invariant precheck reads both.
     # ------------------------------------------------------------------
-    @property
-    def intervenient(self) -> bool:
-        """M and O data are *intervenient*: the holder must intervene on bus
-        accesses so that no other module reads stale data from memory."""
-        return self.valid and self.owned
-
-    @property
-    def sole_copy(self) -> bool:
-        """M and E data are the only cached copy; a local modification needs
-        no warning to other caches."""
-        return self.valid and self.exclusive
-
     @property
     def must_announce_writes(self) -> bool:
         """S and O data are non-exclusive; a local modification requires a
@@ -125,6 +115,12 @@ for _code, _state in enumerate(LineState):
     #: The single-letter abbreviation ('M', 'O', 'E', 'S' or 'I') --
     #: interned alongside ``code`` so hot paths skip a property call.
     _state.letter = _state.value
+    #: M and O data are *intervenient*: the holder must intervene on bus
+    #: accesses so that no other module reads stale data from memory.
+    _state.intervenient = _state in (LineState.MODIFIED, LineState.OWNED)
+    #: M and E data are the only cached copy; a local modification needs
+    #: no warning to other caches.
+    _state.sole_copy = _state in (LineState.MODIFIED, LineState.EXCLUSIVE)
 del _code, _state
 
 

@@ -12,7 +12,7 @@ The suite is fixed so successive PRs can track the trajectory:
 * **obs** -- observability overhead: the same heterogeneous run driven
   directly (pre-facade style), through :class:`repro.api.Session` with
   tracing disabled (the guard-only path, budgeted at <5%), and with
-  tracing enabled;
+  tracing enabled, each overhead the median of per-round pairs;
 * **batch** -- the struct-of-arrays population kernel: one hit-heavy
   population timed on every available backend and spot-verified against
   the object engine, gated at >=10x the baseline explorer's
@@ -215,10 +215,13 @@ def _bench_obs(quick: bool) -> dict:
     callers did); ``disabled`` goes through ``Session.execute(plan(...))``
     with no tracer (every emission site evaluates its ``is not None``
     guard);
-    ``traced`` records the full structured stream.  Legs are interleaved
-    and the per-leg minimum taken, so a background stall cannot charge
-    one leg only.
+    ``traced`` records the full structured stream.  Each round times the
+    three legs back to back (the order reversing every round), and each
+    overhead is the median over rounds of that round's leg against its
+    own baseline, so a background stall charges one pair, not a leg.
     """
+    from statistics import median
+
     from repro.api import Session, plan
     from repro.system.system import BoardSpec, System
     from repro.workloads.synthetic import SyntheticConfig, SyntheticWorkload
@@ -226,7 +229,7 @@ def _bench_obs(quick: bool) -> dict:
     # Enough references that the facade's fixed per-session setup cost
     # cannot dominate the percentage on a fast run.
     references = 1500 if quick else 3000
-    repeats = 3 if quick else 5
+    repeats = 7 if quick else 11
     config = SyntheticConfig(processors=4, p_shared=0.3, p_write=0.3)
     workload = SyntheticWorkload(config, seed=11).trace(references)
     protocols = ("moesi", "dragon", "berkeley", "write-through")
@@ -248,38 +251,39 @@ def _bench_obs(quick: bool) -> dict:
             "experiment", protocols=protocols, workload=workload, check=False
         ))
 
-    def _time(fn) -> float:
-        start = time.perf_counter()
-        fn()
-        return time.perf_counter() - start
-
+    legs = {
+        "baseline": _direct,
+        "disabled": lambda: _facade(False),
+        "traced": lambda: _facade(True),
+    }
     # One untimed warm-up per leg: first calls pay lazy imports, table
     # compilation and interning that belong to neither leg's steady state.
-    _direct()
-    _facade(False)
-    _facade(True)
-    legs: dict[str, list[float]] = {
-        "baseline": [], "disabled": [], "traced": []
-    }
-    for _ in range(repeats):
-        legs["baseline"].append(_time(_direct))
-        legs["disabled"].append(_time(lambda: _facade(False)))
-        legs["traced"].append(_time(lambda: _facade(True)))
-    baseline_s = min(legs["baseline"])
-    disabled_s = min(legs["disabled"])
-    traced_s = min(legs["traced"])
+    for fn in legs.values():
+        fn()
+    rounds: list[dict[str, float]] = []
+    for index in range(repeats):
+        order = list(legs) if index % 2 == 0 else list(reversed(legs))
+        times = {}
+        for name in order:
+            start = time.perf_counter()
+            legs[name]()
+            times[name] = time.perf_counter() - start
+        rounds.append(times)
+
+    def _overhead_pct(name: str) -> float:
+        return round(median(
+            (r[name] - r["baseline"]) / r["baseline"] * 100.0 for r in rounds
+        ), 2)
+
     return {
         "references": references,
         "repeats": repeats,
-        "baseline_s": round(baseline_s, 4),
-        "disabled_s": round(disabled_s, 4),
-        "traced_s": round(traced_s, 4),
-        "overhead_disabled_pct": round(
-            (disabled_s - baseline_s) / baseline_s * 100.0, 2
-        ),
-        "overhead_traced_pct": round(
-            (traced_s - baseline_s) / baseline_s * 100.0, 2
-        ),
+        **{
+            f"{name}_s": round(median(r[name] for r in rounds), 4)
+            for name in legs
+        },
+        "overhead_disabled_pct": _overhead_pct("disabled"),
+        "overhead_traced_pct": _overhead_pct("traced"),
     }
 
 

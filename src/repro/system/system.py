@@ -84,9 +84,13 @@ class System:
         self.line_size: Optional[int] = None
         for spec in boards:
             self._add_board(spec)
-        #: Bound ``probe_copy`` methods, one per board, cached for the
-        #: per-access invariant precheck (rebuilt if boards change).
-        self._probe_fns: Optional[list] = None
+        #: Each caching board's directory ``lookup``, for the per-access
+        #: invariant precheck (boards are fixed from here on, and a
+        #: non-caching master never holds a copy).
+        self._lookups = [
+            board.cache.lookup for board in self.controllers.values()
+            if isinstance(board, CacheController)
+        ]
         #: Last written token per line address (the coherence oracle).
         self._last_version: dict[int, int] = {}
         self._version_counter = 0
@@ -140,16 +144,12 @@ class System:
     # ------------------------------------------------------------------
     # Synchronous execution.
     # ------------------------------------------------------------------
-    def _line_address(self, byte_address: int) -> int:
-        assert self.line_size is not None
-        return byte_address // self.line_size
-
     def read(self, unit: str, byte_address: int) -> int:
         """One processor load, with the read-coherence check."""
         self.accesses += 1
         value = self.controllers[unit].read(byte_address)
         if self.check:
-            line_address = self._line_address(byte_address)
+            line_address = byte_address // self.line_size
             expected = self._last_version.get(line_address, 0)
             if value != expected:
                 raise CoherenceError(
@@ -165,7 +165,7 @@ class System:
         self._version_counter += 1
         token = self._version_counter
         self.controllers[unit].write(byte_address, token)
-        line_address = self._line_address(byte_address)
+        line_address = byte_address // self.line_size
         self._last_version[line_address] = token
         if self.check:
             self._check_invariants(line_address)
@@ -269,24 +269,18 @@ class System:
         n_valid = 0
         n_owners = 0
         sole_copy_seen = False
-        probes = self._probe_fns
-        if probes is None or len(probes) != len(self.controllers):
-            probes = self._probe_fns = [
-                board.probe_copy for board in self.controllers.values()
-            ]
-        for probe in probes:
-            copy = probe(line_address)
-            if copy is None:
-                continue
-            state, value = copy
-            if not state.valid:
-                continue
+        for lookup in self._lookups:
+            found = lookup(line_address)
+            if found is None:
+                continue  # lookup only returns valid lines
+            line = found[2]
+            state = line.state
             n_valid += 1
             if state.intervenient:
                 n_owners += 1
             if state.sole_copy:
                 sole_copy_seen = True
-            if value != expected:
+            if line.value != expected:
                 return False  # stale copy (COPIES/OWNER_CURRENT)
         if n_owners > 1:
             return False  # SINGLE_OWNER

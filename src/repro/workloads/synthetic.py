@@ -23,6 +23,7 @@ reproducible.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 from typing import Iterator, Optional
 
@@ -78,6 +79,11 @@ class SyntheticWorkload:
     def __init__(self, config: SyntheticConfig, seed: int = 0) -> None:
         self.config = config
         self.seed = seed
+        #: Cumulative shared-block weights, (b+1)^-skew accumulated -- the
+        #: list ``random.choices(weights=...)`` would rebuild per draw.
+        self._shared_cum_weights = list(itertools.accumulate(
+            (b + 1) ** -config.sharing_skew for b in range(config.shared_blocks)
+        ))
 
     # ------------------------------------------------------------------
     # Address map.
@@ -99,8 +105,9 @@ class SyntheticWorkload:
         n = self.config.shared_blocks
         if self.config.sharing_skew == 1.0:
             return rng.randrange(n)
-        weights = [(b + 1) ** -self.config.sharing_skew for b in range(n)]
-        return rng.choices(range(n), weights=weights, k=1)[0]
+        return rng.choices(
+            range(n), cum_weights=self._shared_cum_weights, k=1
+        )[0]
 
     def stream(self, processor: int) -> Iterator[tuple[Op, int]]:
         """Infinite (op, byte-address) stream for one processor."""
@@ -131,12 +138,14 @@ class SyntheticWorkload:
         """A finite round-robin interleaving of all processors' streams."""
         unit_ids = self.config.unit_ids()
         streams = [self.stream(i) for i in range(self.config.processors)]
-        trace = Trace()
+        processors = self.config.processors
+        records = []
+        append = records.append
         for i in range(references):
-            processor = i % self.config.processors
+            processor = i % processors
             op, address = next(streams[processor])
-            trace.append(ReferenceRecord(unit_ids[processor], op, address))
-        return trace
+            append(ReferenceRecord(unit_ids[processor], op, address))
+        return Trace(records)
 
     def streams(self) -> dict[str, Iterator[tuple[Op, int]]]:
         """Per-unit infinite streams for the timed runner."""

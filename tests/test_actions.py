@@ -189,3 +189,87 @@ class TestMasterKind:
     def test_shared_kind(self):
         kind = MasterKind.WRITE_THROUGH_OR_NON_CACHING
         assert kind.includes_write_through and kind.includes_non_caching
+
+
+def _all_local_actions():
+    """Every action of every registered protocol's Table 1 and of the
+    compiled full-class closure, plus every constructible signal/bus-op
+    combination (some, such as CA alone with no data phase, appear in no
+    table)."""
+    import itertools
+
+    from repro.core.transitions import compiled_class_cells
+    from repro.protocols.registry import make_protocol, protocol_names
+
+    actions = set()
+    for ca, im, bc, dont_care, op in itertools.product(
+        (False, True), (False, True), (False, True), (False, True), BusOp
+    ):
+        try:
+            actions.add(LocalAction(
+                S, MasterSignals(ca=ca, im=im, bc=bc), op,
+                bc_dont_care=dont_care,
+            ))
+        except ValueError:
+            pass
+    for name in protocol_names():
+        for cell in make_protocol(name).local_table().values():
+            actions.update(cell)
+    for cell in compiled_class_cells().local:
+        actions.update(cell)
+    return sorted(actions, key=LocalAction.notation)
+
+
+class TestStoredBusFlags:
+    """``uses_bus``/``is_silent`` are computed once at construction and
+    stored as plain attributes outside the dataclass fields."""
+
+    def test_flags_match_the_formula_on_every_action(self):
+        actions = _all_local_actions()
+        assert len(actions) > 20
+        for action in actions:
+            uses_bus = (
+                action.bus_op is not BusOp.NONE
+                or action.signals.im
+                or action.signals.ca
+            )
+            assert action.uses_bus is bool(uses_bus), action.notation()
+            assert action.is_silent is (not uses_bus), action.notation()
+
+    def test_flags_are_not_fields(self):
+        import dataclasses
+
+        assert [f.name for f in dataclasses.fields(LocalAction)] == [
+            "next_state", "signals", "bus_op", "bc_dont_care", "kind",
+        ]
+        action = LocalAction(S, MasterSignals(ca=True), BusOp.READ)
+        assert "uses_bus" not in repr(action)
+        assert "uses_bus" not in dataclasses.asdict(action)
+
+    def test_equality_hash_and_pickling_unchanged(self):
+        import dataclasses
+        import pickle
+
+        for action in _all_local_actions():
+            fields = tuple(
+                getattr(action, f.name) for f in dataclasses.fields(action)
+            )
+            assert hash(action) == hash(fields)
+            twin = dataclasses.replace(action)
+            assert twin == action and hash(twin) == hash(action)
+            clone = pickle.loads(pickle.dumps(action))
+            assert clone == action and hash(clone) == hash(action)
+            assert clone.uses_bus is action.uses_bus
+            assert clone.is_silent is action.is_silent
+            assert clone.notation() == action.notation()
+        assert LocalAction(M) != LocalAction(
+            M, MasterSignals(ca=True, im=True)
+        )
+
+    def test_assignment_still_raises(self):
+        import dataclasses
+
+        action = LocalAction(M)
+        for name in ("uses_bus", "is_silent", "next_state"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(action, name, True)

@@ -124,3 +124,47 @@ class TestCacheLine:
         line = CacheLine(state=E)
         line.invalidate()
         assert not line.valid
+
+
+class TestLookupAgainstBruteForce:
+    """``lookup`` (mask/shift set and tag, counted way) agrees with a scan
+    of every way of every set, and with ``set_index``/``tag``/
+    ``address_of``, under random fill and invalidate sequences."""
+
+    @staticmethod
+    def _scan(cache, line_address):
+        for set_index in range(cache.num_sets):
+            for way, line in enumerate(cache.ways_of(set_index)):
+                if line.valid and cache.address_of(
+                    set_index, line.tag
+                ) == line_address:
+                    return set_index, way, line
+        return None
+
+    @pytest.mark.parametrize("num_sets", [1, 2, 4, 64])
+    @pytest.mark.parametrize("associativity", [1, 2, 4])
+    def test_random_fill_and_invalidate(self, num_sets, associativity):
+        import random
+
+        rng = random.Random(num_sets * 10 + associativity)
+        cache = SetAssociativeCache(
+            num_sets=num_sets, associativity=associativity
+        )
+        span = num_sets * associativity * 4
+        for step in range(600):
+            line_address = rng.randrange(span)
+            found = cache.lookup(line_address)
+            expected = self._scan(cache, line_address)
+            if expected is None:
+                assert found is None
+            else:
+                assert found[:2] == expected[:2]
+                assert found[2] is expected[2]
+                assert found[0] == cache.set_index(line_address)
+                assert found[2].tag == cache.tag(line_address)
+                assert cache.address_of(found[0], found[2].tag) == line_address
+            if found is not None and rng.random() < 0.3:
+                found[2].invalidate()
+            elif found is None:
+                cache.fill(line_address, rng.choice((M, E, S)), step)
+        assert cache.occupancy() > 0

@@ -121,6 +121,17 @@ class TestStatePairs:
     def test_sole_copy_predicate(self, state):
         assert state.sole_copy
 
+    @pytest.mark.parametrize("state", list(LineState))
+    def test_pair_attributes_match_characteristics(self, state):
+        """``intervenient``/``sole_copy`` are plain per-member attributes
+        equal to the section 3.1 formulas and to the Figure 4 sets."""
+        assert "intervenient" in vars(state)
+        assert "sole_copy" in vars(state)
+        assert state.intervenient == (state.valid and state.owned)
+        assert state.sole_copy == (state.valid and state.exclusive)
+        assert state.intervenient == (state in INTERVENIENT_STATES)
+        assert state.sole_copy == (state in SOLE_COPY_STATES)
+
     @pytest.mark.parametrize("state", [O, S])
     def test_must_announce_writes(self, state):
         """S and O data require a bus message before local modification."""
