@@ -4,8 +4,11 @@ This module implements the *semantics* of one bus transaction against a set
 of snooping agents and main memory, exactly as the paper's facilities
 provide them (sections 2 and 3.2):
 
-* the address cycle is broadcast: every attached agent snoops every
-  transaction and contributes its CH/DI/SL/BS response, combined wired-OR;
+* the address cycle is broadcast: every attached agent sees every
+  transaction and contributes its CH/DI/SL/BS response, combined
+  wired-OR -- a cache without a valid copy is in state I, whose Table 2
+  row answers nothing and changes nothing, so the bus reads that off
+  its resident map instead of calling it (:attr:`BusAgent.resident`);
 * if any agent asserts **BS**, the transaction aborts; the asserting
   agent(s) perform their push (an ordinary write transaction of their own),
   and the original transaction then restarts from scratch;
@@ -63,8 +66,9 @@ class BusAgent(abc.ABC):
 
     The bus calls these hooks in transaction order:
 
-    1. :meth:`snoop` on every agent except the master -- decide and stash
-       a response;
+    1. :meth:`snoop` on every agent except the master (and except a
+       cache without a valid copy, see :attr:`resident`) -- decide and
+       stash a response;
     2. if the aggregate carries BS: :meth:`abort_push` on each BS
        asserter, :meth:`transaction_aborted` on everyone else, then the
        whole transaction restarts (back to 1);
@@ -76,6 +80,14 @@ class BusAgent(abc.ABC):
     """
 
     unit_id: str = "agent"
+    #: The agent's resident map (line address -> ``(set, way, line)``,
+    #: see :class:`~repro.cache.cache.SetAssociativeCache`) when it is a
+    #: cache that answers only for lines it holds valid -- Table 2's I
+    #: row answers nothing and changes nothing, so the bus skips every
+    #: hook for a transaction whose line the map does not hold valid.
+    #: ``None`` (hierarchy bridges, cacheless masters, any other agent):
+    #: snooped on every transaction.
+    resident: Optional[dict] = None
 
     @abc.abstractmethod
     def snoop(self, txn: Transaction) -> SnoopResponse:
@@ -132,10 +144,11 @@ class Futurebus:
         #: :meth:`repro.obs.trace.Tracer.bus_transaction` subscribes here.
         self.observer = None
         self._agents: dict[str, BusAgent] = {}
-        #: master id -> every *other* agent, rebuilt on attach/detach.
-        #: ``execute`` runs once per memory reference; recomputing the
-        #: snooper list there was a measurable slice of the DES hot path.
-        self._snoopers: dict[str, tuple[BusAgent, ...]] = {}
+        #: master id -> ``(agent, resident map or None)`` for every *other*
+        #: agent, rebuilt on attach/detach.  ``execute`` runs once per
+        #: memory reference; recomputing the snooper list there was a
+        #: measurable slice of the DES hot path.
+        self._fanout: dict[str, tuple[tuple[BusAgent, Optional[dict]], ...]] = {}
         self._serial = 0
         self.busy_ns = 0.0
 
@@ -144,20 +157,18 @@ class Futurebus:
         if agent.unit_id in self._agents:
             raise ValueError(f"duplicate unit id {agent.unit_id!r}")
         self._agents[agent.unit_id] = agent
-        self._snoopers.clear()
+        self._fanout.clear()
 
     def detach(self, unit_id: str) -> None:
         self._agents.pop(unit_id, None)
-        self._snoopers.clear()
+        self._fanout.clear()
 
-    def _snoopers_for(self, master: str) -> tuple[BusAgent, ...]:
-        snoopers = self._snoopers.get(master)
-        if snoopers is None:
-            snoopers = tuple(
-                a for a in self._agents.values() if a.unit_id != master
-            )
-            self._snoopers[master] = snoopers
-        return snoopers
+    def _fanout_for(self, master: str) -> tuple:
+        fanout = tuple(
+            (a, a.resident) for a in self._agents.values() if a.unit_id != master
+        )
+        self._fanout[master] = fanout
+        return fanout
 
     @property
     def agents(self) -> tuple[BusAgent, ...]:
@@ -183,19 +194,26 @@ class Futurebus:
                 "them separately"
             )
         self._serial += 1
-        txn = Transaction(
-            master=master,
-            address=address,
-            signals=signals,
-            op=op,
-            value=value,
-            serial=self._serial,
-        )
+        txn = Transaction(master, address, signals, op, value, 0, self._serial)
         duration = 0.0
 
-        snoopers = self._snoopers_for(master)
+        fanout = self._fanout.get(master)
+        if fanout is None:
+            fanout = self._fanout_for(master)
         while True:
-            responses = [a.snoop(txn) for a in snoopers]
+            # Snoop the holders: a cache whose line is invalid (or absent)
+            # would answer nothing and keep its state (Table 2, row I).
+            # Re-filtered on every try, since an abort push changes who
+            # holds the line.
+            snoopers = []
+            responses = []
+            for agent, resident in fanout:
+                if resident is not None:
+                    found = resident.get(address)
+                    if found is None or not found[2].state.valid:
+                        continue
+                snoopers.append(agent)
+                responses.append(agent.snoop(txn))
             aggregate = ResponseAggregate.of(responses)
 
             if aggregate.bs:
@@ -249,7 +267,7 @@ class Futurebus:
     def _data_phase(
         self,
         txn: Transaction,
-        snoopers: tuple[BusAgent, ...],
+        snoopers: list[BusAgent],
         responses: list[SnoopResponse],
         aggregate: ResponseAggregate,
     ) -> tuple[Optional[int], Optional[str], tuple[str, ...]]:

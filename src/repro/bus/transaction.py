@@ -12,7 +12,7 @@ from repro.core.signals import MasterSignals, ResponseAggregate
 __all__ = ["Transaction", "TransactionResult"]
 
 
-@dataclasses.dataclass(slots=True)
+@dataclasses.dataclass(slots=True, init=False)
 class Transaction:
     """One bus transaction: a broadcast address cycle plus a data phase.
 
@@ -29,14 +29,31 @@ class Transaction:
     retries: int = 0
     #: Sequence number assigned by the bus, for tracing.
     serial: int = 0
-    #: How snooping third parties classify this transaction.  Computed
-    #: once at construction (``signals`` never changes after that):
-    #: every snooper on every retry reads it, so recomputing the signal
-    #: classification per access was pure hot-path waste.
-    event: BusEvent = dataclasses.field(init=False)
+    #: How snooping third parties classify this transaction: every
+    #: snooper on every retry reads it.  ``signals`` never changes, and
+    #: each :class:`MasterSignals` caches its own classification
+    #: (:attr:`MasterSignals.event`), so construction is one attribute
+    #: read.
+    event: BusEvent
 
-    def __post_init__(self) -> None:
-        self.event = BusEvent.from_signals(self.signals)
+    def __init__(
+        self,
+        master: str,
+        address: int,
+        signals: MasterSignals,
+        op: BusOp,
+        value: Optional[int] = None,
+        retries: int = 0,
+        serial: int = 0,
+    ) -> None:
+        self.master = master
+        self.address = address
+        self.signals = signals
+        self.op = op
+        self.value = value
+        self.retries = retries
+        self.serial = serial
+        self.event = signals.event
 
     def describe(self) -> str:
         op = self.op.value or "addr-only"

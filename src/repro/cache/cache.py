@@ -53,9 +53,21 @@ class SetAssociativeCache:
             or self.replacement.associativity != associativity
         ):
             raise ValueError("replacement policy geometry mismatch")
-        self._sets: list[list[CacheLine]] = [
-            [CacheLine() for _ in range(associativity)] for _ in range(num_sets)
+        ways = range(associativity)
+        #: Per set, one ``(set_index, way, line)`` triple per way, built
+        #: once: the resident map's values and every lookup's answer.
+        self._slots: list[list[tuple[int, int, CacheLine]]] = [
+            [(set_index, way, CacheLine()) for way in ways]
+            for set_index in range(num_sets)
         ]
+        #: The resident map: line address -> ``(set_index, way, line)`` of
+        #: the way whose tag holds that address.  Every way that holds a
+        #: valid line has its entry; an entry may outlive its line's
+        #: validity (readers test ``line.state.valid``) but never its tag.
+        #: :meth:`fill` and :meth:`retag` -- the only writers of a tag --
+        #: keep it exact, in place: the controller, the bus and the
+        #: system's precheck hold references to this very dict.
+        self.resident: dict[int, tuple[int, int, CacheLine]] = {}
         # num_sets is a power of two: set = line & mask, tag = line >> shift.
         self._set_mask = num_sets - 1
         self._tag_shift = num_sets.bit_length() - 1
@@ -86,27 +98,20 @@ class SetAssociativeCache:
     def lookup(self, line_address: int) -> Optional[tuple[int, int, CacheLine]]:
         """Find a valid line; returns (set_index, way, line) or None.
 
-        Every processor reference, every snooped transaction and the
-        per-access invariant precheck probe here, so the set and tag are
-        a mask and a shift, the way is a plain counter, the tag compare
-        comes first (a plain attribute), and validity is an identity test
-        against INVALID.
+        One probe of the resident map; validity is read off the line.
+        Hot paths (the controller, the bus's holder filter, the system's
+        invariant precheck) probe :attr:`resident` directly.
         """
-        set_index = line_address & self._set_mask
-        tag = line_address >> self._tag_shift
-        invalid = _INVALID
-        way = 0
-        for line in self._sets[set_index]:
-            if line.tag == tag and line.state is not invalid:
-                return set_index, way, line
-            way += 1
+        found = self.resident.get(line_address)
+        if found is not None and found[2].state.valid:
+            return found
         return None
 
     def probe_state(self, line_address: int) -> LineState:
         """The directory's answer during snooping: the line's state
         (INVALID when not present)."""
-        found = self.lookup(line_address)
-        return found[2].state if found else LineState.INVALID
+        found = self.resident.get(line_address)
+        return found[2].state if found is not None else _INVALID
 
     def touch(self, set_index: int, way: int) -> None:
         self.replacement.touch(set_index, way)
@@ -121,13 +126,14 @@ class SetAssociativeCache:
         policy.  Does not modify anything -- the controller first evicts
         the victim (possibly writing it back), then calls :meth:`fill`.
         """
-        set_index = self.set_index(line_address)
-        ways = self._sets[set_index]
-        for way, line in enumerate(ways):
-            if not line.valid:
-                return set_index, way, line
-        way = self.replacement.victim(set_index, range(self.associativity))
-        return set_index, way, ways[way]
+        slots = self._slots[line_address & self._set_mask]
+        for slot in slots:
+            if not slot[2].state.valid:
+                return slot
+        set_index = slots[0][0]
+        return slots[
+            self.replacement.victim(set_index, range(self.associativity))
+        ]
 
     def fill(
         self,
@@ -136,32 +142,63 @@ class SetAssociativeCache:
         value: int,
         way: Optional[int] = None,
     ) -> tuple[int, int, CacheLine]:
-        """Install ``line_address`` in the given (or chosen) way."""
-        set_index = self.set_index(line_address)
+        """Install ``line_address`` in the given (or chosen) way.
+
+        Without a ``way``, a line that is already resident is refilled
+        in place rather than installed a second time."""
         if way is None:
-            set_index, way, _ = self.choose_victim(line_address)
-        line = self._sets[set_index][way]
-        line.tag = self.tag(line_address)
+            found = self.lookup(line_address)
+            set_index, way, _ = found or self.choose_victim(line_address)
+        else:
+            set_index = line_address & self._set_mask
+        slot = self._slots[set_index][way]
+        line = slot[2]
+        self._move(slot, line_address >> self._tag_shift, line_address)
         line.state = state
         line.value = value
         self.replacement.fill(set_index, way)
-        return set_index, way, line
+        return slot
+
+    def retag(self, set_index: int, way: int, tag: int) -> None:
+        """Point one way at ``tag``, keeping the resident map exact; call
+        it after writing the way's state.  The model checker restores
+        snapshots through here."""
+        slots = self._slots[set_index]
+        slot = slots[way]
+        line_address = (tag << self._tag_shift) | set_index
+        self._move(slot, tag, line_address)
+        if not slot[2].state.valid:
+            # A restore rewrites ways one at a time, so another way may
+            # hold the same tag validly: the entry stays with that one.
+            for other in slots:
+                if other[2].tag == tag and other[2].state.valid:
+                    self.resident[line_address] = other
+                    break
+
+    def _move(self, slot, tag: int, line_address: int) -> None:
+        set_index, _, line = slot
+        resident = self.resident
+        old = (line.tag << self._tag_shift) | set_index
+        if resident.get(old) is slot:
+            del resident[old]
+        line.tag = tag
+        resident[line_address] = slot
 
     # ------------------------------------------------------------------
     # Inspection.
     # ------------------------------------------------------------------
     def valid_lines(self) -> Iterator[tuple[int, CacheLine]]:
         """Yield (line_address, line) for every valid line."""
-        for set_index, ways in enumerate(self._sets):
-            for line in ways:
-                if line.valid:
+        for slots in self._slots:
+            for set_index, _, line in slots:
+                if line.state.valid:
                     yield self.address_of(set_index, line.tag), line
 
     def occupancy(self) -> int:
         return sum(1 for _ in self.valid_lines())
 
     def ways_of(self, set_index: int) -> tuple[CacheLine, ...]:
-        return tuple(self._sets[set_index])
+        return tuple(slot[2] for slot in self._slots[set_index])
 
     def __contains__(self, line_address: int) -> bool:
         return self.lookup(line_address) is not None

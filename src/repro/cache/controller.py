@@ -6,10 +6,12 @@ A controller serves its processor's reads and writes against its local
 snooped bus event, and issues/answers Futurebus transactions accordingly.
 
 The paper's central requirement (section 2.1) is honored structurally:
-every controller participates in every broadcast address cycle -- the bus
-calls :meth:`CacheController.snoop` for each transaction, the controller
-checks its directory for a hit and contributes its CH/DI/SL/BS response
-before the address cycle may complete.
+every controller participates in every broadcast address cycle.  A
+controller holding a valid copy is snooped -- :meth:`CacheController.snoop`
+contributes its CH/DI/SL/BS response before the address cycle may
+complete; one without a copy is in state I, whose Table 2 row answers
+nothing and changes nothing, so the bus reads that off the controller's
+resident map (:attr:`CacheController.resident`) instead of calling it.
 
 Execution of one local event covers all the shapes Table 1 can produce:
 
@@ -33,7 +35,8 @@ from repro.bus.futurebus import BusAgent, Futurebus
 from repro.bus.transaction import Transaction
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.line import CacheLine
-from repro.core.actions import BusOp, LocalAction, SnoopAction, resolve_next_state
+from repro.cache.replacement import LruPolicy
+from repro.core.actions import BusOp, LocalAction, SnoopAction
 from repro.core.events import LocalEvent
 from repro.core.protocol import (
     IllegalTransitionError,
@@ -44,6 +47,8 @@ from repro.core.protocol import (
 )
 from repro.core.signals import MasterSignals, ResponseAggregate, SnoopResponse
 from repro.core.states import LineState
+
+_INVALID = LineState.INVALID
 
 __all__ = ["ControllerStats", "CacheController", "NonCachingMaster"]
 
@@ -90,14 +95,13 @@ class ControllerStats:
                 setattr(self, field.name, 0)
 
 
-@dataclasses.dataclass
-class _PendingSnoop:
-    """The snoop decision stashed between address cycle and finalize."""
-
-    serial: int
-    line: CacheLine
-    action: SnoopAction
-    was_valid: bool
+_READ = LocalEvent.READ
+_WRITE = LocalEvent.WRITE
+_READ_CELL = _READ.code
+_WRITE_CELL = _WRITE.code
+_NO_RESPONSE = SnoopResponse.NONE
+#: A BS push's master signals when the action names none.
+_PUSH_SIGNALS = MasterSignals(ca=True)
 
 
 class CacheController(BusAgent):
@@ -113,9 +117,23 @@ class CacheController(BusAgent):
         self.unit_id = unit_id
         self.protocol = protocol
         self.cache = cache or SetAssociativeCache()
+        #: The cache's resident map (see :class:`SetAssociativeCache`):
+        #: the processor port and the snooper probe it directly, and the
+        #: bus reads it to snoop only boards that hold the line.
+        self.resident = self.cache.resident
+        self._line_size = self.cache.line_size
+        replacement = self.cache.replacement
+        #: The per-set use order when the policy is plain LRU, which a
+        #: hit updates in place; any other policy is called.
+        self._lru = replacement._order if type(replacement) is LruPolicy else None
+        #: ``(local, snoop)`` flat action tables when the protocol's
+        #: choice is context-free (:meth:`Protocol.static_tables`).
+        self._tables = protocol.static_tables()
         self.stats = ControllerStats()
         self._seq = 0
-        self._pending: Optional[_PendingSnoop] = None
+        #: The snoop decision stashed between address cycle and finalize:
+        #: ``(txn serial, line, action)``.
+        self._pending: Optional[tuple[int, CacheLine, SnoopAction]] = None
         self.bus: Optional[Futurebus] = None
         #: Optional hook called as ``observer(unit_id, side, state, event,
         #: action)`` for every protocol decision this board takes --
@@ -123,13 +141,30 @@ class CacheController(BusAgent):
         #: differential oracle subscribes here to cross-check each observed
         #: transition against the canonical tables.
         self.transition_observer = None
-        #: Optional structured-trace hook with the same signature --
-        #: :meth:`repro.obs.trace.Tracer.transition` subscribes here.  Kept
-        #: separate from :attr:`transition_observer` so tracing a fuzzed
-        #: run never displaces the oracle.
-        self.trace_observer = None
+        #: The structured trace, set by :meth:`attach_trace`: the
+        #: tracer's cell-code sink, its interning method and this board's
+        #: table bases.  Kept apart from :attr:`transition_observer`, so
+        #: tracing a fuzzed run never displaces the oracle.
+        self._trace_sink = None
+        self._trace_code = None
+        self._trace_local = self._trace_snoop = 0
         if bus is not None:
             self.attach_to(bus)
+
+    def attach_trace(self, tracer) -> None:
+        """Record this board's protocol decisions in a
+        :class:`repro.obs.trace.Tracer` (``None`` detaches).  A board
+        served from flat tables registers them, and each decision is
+        then recorded as ``base + cell index``."""
+        if tracer is None:
+            self._trace_sink = self._trace_code = None
+            return
+        self._trace_sink = tracer.transition_sink
+        self._trace_code = tracer.cell_code
+        if self._tables is not None:
+            self._trace_local, self._trace_snoop = tracer.register_tables(
+                self.unit_id, self._tables
+            )
 
     def attach_to(self, bus: Futurebus) -> None:
         self.bus = bus
@@ -140,88 +175,157 @@ class CacheController(BusAgent):
             raise RuntimeError(f"{self.unit_id} is not attached to a bus")
         return self.bus
 
-    def _next_ctx(self, address: int) -> LocalContext:
-        self._seq += 1
-        return LocalContext(address=address, sequence=self._seq)
+    def _valid_line(self, line_address: int) -> Optional[CacheLine]:
+        found = self.resident.get(line_address)
+        if found is not None and found[2].state.valid:
+            return found[2]
+        return None
 
     def _choose_local(
-        self, state: LineState, event: LocalEvent, ctx: LocalContext
+        self, state: LineState, event: LocalEvent, line_address: int
     ) -> LocalAction:
-        """Consult the protocol for a local event, notifying the observer."""
-        action = self.protocol.local_action(state, event, ctx)
+        """Consult the protocol for a local event, notifying the observers.
+
+        Every local decision advances the board's sequence number (the
+        ``sequence`` of the contexts policies see), table-served or not."""
+        self._seq += 1
+        tables = self._tables
+        if tables is None:
+            action = self.protocol.local_action(
+                state, event, LocalContext(line_address, self._seq)
+            )
+        else:
+            cell = state.code * 4 + event.code
+            action = tables[0][cell]
+            if action is None:
+                raise IllegalTransitionError(self.protocol.name, state, event)
         if self.transition_observer is not None:
             self.transition_observer(self.unit_id, "local", state, event, action)
-        if self.trace_observer is not None:
-            self.trace_observer(self.unit_id, "local", state, event, action)
+        if self._trace_sink is not None:
+            self._trace_sink(
+                self._trace_code("local", self.unit_id, state, event, action)
+                if tables is None
+                else self._trace_local + cell
+            )
         return action
 
     # ------------------------------------------------------------------
     # Processor port.
     # ------------------------------------------------------------------
+    # A hit is the common case, so read and write inline what
+    # _choose_local does and the LRU touch: one resident-map probe, one
+    # table cell, the silent next state and the use order.
     def read(self, byte_address: int) -> int:
         """Processor load; returns the line's data token."""
-        line_address = self.cache.line_address(byte_address)
-        self.stats.reads += 1
-        found = self.cache.lookup(line_address)
-        if found is not None:
-            set_index, way, line = found
-            self.stats.read_hits += 1
-            self.stats.hits_by_state[line.state.letter] += 1
-            action = self._choose_local(
-                line.state, LocalEvent.READ, self._next_ctx(line_address)
+        line_address = byte_address // self._line_size
+        stats = self.stats
+        stats.reads += 1
+        found = self.resident.get(line_address)
+        if found is None or not found[2].state.valid:
+            stats.read_misses += 1
+            action = self._choose_local(_INVALID, _READ, line_address)
+            return self._run_local_action(line_address, _READ, action, None)
+        set_index, way, line = found
+        state = line.state
+        stats.read_hits += 1
+        stats.hits_by_state[state.letter] += 1
+        self._seq += 1
+        tables = self._tables
+        if tables is None:
+            action = self.protocol.local_action(
+                state, _READ, LocalContext(line_address, self._seq)
             )
-            self._apply_silent(line, action)
+        else:
+            cell = state.code * 4 + _READ_CELL
+            action = tables[0][cell]
+            if action is None:
+                raise IllegalTransitionError(self.protocol.name, state, _READ)
+        if self.transition_observer is not None:
+            self.transition_observer(self.unit_id, "local", state, _READ, action)
+        if self._trace_sink is not None:
+            self._trace_sink(
+                self._trace_code("local", self.unit_id, state, _READ, action)
+                if tables is None
+                else self._trace_local + cell
+            )
+        if not action.is_silent:
+            raise AssertionError(
+                f"{self.unit_id}: hit action expected silent, got {action}"
+            )
+        line.state = action.next_if_not_ch
+        lru = self._lru
+        if lru is None:
             self.cache.touch(set_index, way)
-            return line.value
-        self.stats.read_misses += 1
-        action = self._choose_local(
-            LineState.INVALID, LocalEvent.READ, self._next_ctx(line_address)
-        )
-        return self._run_local_action(
-            line_address, LocalEvent.READ, action, new_value=None
-        )
+        else:
+            order = lru[set_index]
+            if order[0] != way:
+                order.remove(way)
+                order.insert(0, way)
+        return line.value
 
     def write(self, byte_address: int, value: int) -> None:
         """Processor store of data token ``value``."""
-        line_address = self.cache.line_address(byte_address)
-        self.stats.writes += 1
-        found = self.cache.lookup(line_address)
-        if found is not None:
-            set_index, way, line = found
-            self.stats.write_hits += 1
-            self.stats.hits_by_state[line.state.letter] += 1
-            action = self._choose_local(
-                line.state, LocalEvent.WRITE, self._next_ctx(line_address)
-            )
-            self._run_local_action(
-                line_address, LocalEvent.WRITE, action, new_value=value
-            )
-            self.cache.touch(set_index, way)
+        line_address = byte_address // self._line_size
+        stats = self.stats
+        stats.writes += 1
+        found = self.resident.get(line_address)
+        if found is None or not found[2].state.valid:
+            stats.write_misses += 1
+            action = self._choose_local(_INVALID, _WRITE, line_address)
+            self._run_local_action(line_address, _WRITE, action, value)
             return
-        self.stats.write_misses += 1
-        action = self._choose_local(
-            LineState.INVALID, LocalEvent.WRITE, self._next_ctx(line_address)
-        )
-        self._run_local_action(
-            line_address, LocalEvent.WRITE, action, new_value=value
-        )
+        set_index, way, line = found
+        state = line.state
+        stats.write_hits += 1
+        stats.hits_by_state[state.letter] += 1
+        self._seq += 1
+        tables = self._tables
+        if tables is None:
+            action = self.protocol.local_action(
+                state, _WRITE, LocalContext(line_address, self._seq)
+            )
+        else:
+            cell = state.code * 4 + _WRITE_CELL
+            action = tables[0][cell]
+            if action is None:
+                raise IllegalTransitionError(self.protocol.name, state, _WRITE)
+        if self.transition_observer is not None:
+            self.transition_observer(self.unit_id, "local", state, _WRITE, action)
+        if self._trace_sink is not None:
+            self._trace_sink(
+                self._trace_code("local", self.unit_id, state, _WRITE, action)
+                if tables is None
+                else self._trace_local + cell
+            )
+        next_state = action.next_if_not_ch
+        if action.is_silent and next_state.valid:
+            line.state = next_state
+            line.value = value
+        else:
+            self._run_local_action(line_address, _WRITE, action, value)
+        lru = self._lru
+        if lru is None:
+            self.cache.touch(set_index, way)
+        else:
+            order = lru[set_index]
+            if order[0] != way:
+                order.remove(way)
+                order.insert(0, way)
 
     def flush_line(self, line_address: int) -> None:
         """Evict a specific line (push it first if owned)."""
-        found = self.cache.lookup(line_address)
-        if found is None:
-            return
-        self._evict(found[2], line_address)
+        line = self._valid_line(line_address)
+        if line is not None:
+            self._evict(line, line_address)
 
     def clean_line(self, line_address: int) -> None:
         """Proactively push a dirty line but keep the copy (PASS)."""
-        found = self.cache.lookup(line_address)
-        if found is None:
+        line = self._valid_line(line_address)
+        if line is None:
             return
-        line = found[2]
         try:
             action = self._choose_local(
-                line.state, LocalEvent.PASS, self._next_ctx(line_address)
+                line.state, LocalEvent.PASS, line_address
             )
         except IllegalTransitionError:
             return  # nothing to push (clean states have no PASS entry)
@@ -230,14 +334,6 @@ class CacheController(BusAgent):
     # ------------------------------------------------------------------
     # Local-action execution.
     # ------------------------------------------------------------------
-    def _apply_silent(self, line: CacheLine, action: LocalAction) -> None:
-        if not action.is_silent:
-            raise AssertionError(
-                f"{self.unit_id}: hit action expected silent, got {action}"
-            )
-        next_state = resolve_next_state(action.next_state, ch_observed=False)
-        line.state = next_state
-
     def _run_local_action(
         self,
         line_address: int,
@@ -247,8 +343,7 @@ class CacheController(BusAgent):
     ) -> int:
         """Execute one Table-1 action to completion; returns the data token
         the processor observes."""
-        found = self.cache.lookup(line_address)
-        line = found[2] if found else None
+        line = self._valid_line(line_address)
 
         if action.bus_op is BusOp.READ_THEN_WRITE:
             return self._read_then_write(line_address, action, new_value)
@@ -256,7 +351,7 @@ class CacheController(BusAgent):
         if action.is_silent:
             # Silent transitions require the line to be present unless the
             # result is invalid (e.g. a clean drop).
-            next_state = resolve_next_state(action.next_state, False)
+            next_state = action.next_if_not_ch
             if line is None:
                 if next_state.valid:
                     raise AssertionError(
@@ -266,7 +361,7 @@ class CacheController(BusAgent):
                 return new_value if new_value is not None else 0
             if next_state.valid:
                 line.state = next_state
-                if event is LocalEvent.WRITE:
+                if event is _WRITE:
                     assert new_value is not None
                     line.value = new_value
             else:
@@ -274,11 +369,13 @@ class CacheController(BusAgent):
             return line.value
 
         # A bus transaction is required.
-        bus = self._require_bus()
+        bus = self.bus
+        if bus is None:
+            bus = self._require_bus()
         op = action.bus_op
         wire_value: Optional[int] = None
         if op is BusOp.WRITE:
-            if event is LocalEvent.WRITE:
+            if event is _WRITE:
                 assert new_value is not None
                 wire_value = new_value
             else:
@@ -286,21 +383,19 @@ class CacheController(BusAgent):
                 assert line is not None
                 wire_value = line.value
         result = bus.execute(
-            self.unit_id,
-            line_address,
-            action.signals,
-            op if op is not BusOp.NONE else BusOp.NONE,
-            wire_value,
+            self.unit_id, line_address, action.signals, op, wire_value
         )
         self.stats.bus_transactions += 1
-        resolved = resolve_next_state(action.next_state, result.aggregate.ch)
+        resolved = (
+            action.next_if_ch if result.aggregate.ch else action.next_if_not_ch
+        )
 
         # Determine the data token the processor/line ends up with: a local
         # write always ends with the newly written value (even when the bus
         # part was an address-only invalidate or a read-for-ownership whose
         # fetched data is immediately overwritten); a read ends with the
         # supplied data; pushes keep the line's own contents.
-        if event is LocalEvent.WRITE:
+        if event is _WRITE:
             token = new_value
         elif op is BusOp.READ:
             assert result.value is not None
@@ -316,7 +411,7 @@ class CacheController(BusAgent):
                 line.value = token  # type: ignore[assignment]
         elif line is not None:
             line.invalidate()
-        if event in (LocalEvent.PASS, LocalEvent.FLUSH):
+        if event is LocalEvent.PASS or event is LocalEvent.FLUSH:
             self.stats.write_backs += 1
         assert token is not None
         return token
@@ -335,20 +430,20 @@ class CacheController(BusAgent):
             self.unit_id, line_address, action.signals, BusOp.READ, None
         )
         self.stats.bus_transactions += 1
-        landed = resolve_next_state(action.next_state, result.aggregate.ch)
+        landed = (
+            action.next_if_ch if result.aggregate.ch else action.next_if_not_ch
+        )
         assert result.value is not None
         if landed.valid:
             self._install(line_address, landed, result.value)
-        write_action = self._choose_local(
-            landed, LocalEvent.WRITE, self._next_ctx(line_address)
-        )
+        write_action = self._choose_local(landed, _WRITE, line_address)
         if write_action.bus_op is BusOp.READ_THEN_WRITE:
             raise AssertionError(
                 f"{self.protocol.name}: Read>Write may not chain into "
                 "another Read>Write"
             )
         return self._run_local_action(
-            line_address, LocalEvent.WRITE, write_action, new_value
+            line_address, _WRITE, write_action, new_value
         )
 
     # ------------------------------------------------------------------
@@ -357,105 +452,116 @@ class CacheController(BusAgent):
     def _install(
         self, line_address: int, state: LineState, value: int
     ) -> CacheLine:
-        set_index, way, victim = self.cache.choose_victim(line_address)
-        if victim.valid:
-            victim_address = self.cache.address_of(set_index, victim.tag)
+        cache = self.cache
+        set_index, way, victim = cache.choose_victim(line_address)
+        if victim.state.valid:
+            victim_address = cache.address_of(set_index, victim.tag)
             self._evict(victim, victim_address)
             self.stats.evictions += 1
-        _, _, line = self.cache.fill(line_address, state, value, way=way)
-        return line
+        return cache.fill(line_address, state, value, way=way)[2]
 
     def _evict(self, line: CacheLine, line_address: int) -> None:
-        action = self._choose_local(
-            line.state, LocalEvent.FLUSH, self._next_ctx(line_address)
-        )
+        action = self._choose_local(line.state, LocalEvent.FLUSH, line_address)
         self._run_local_action(line_address, LocalEvent.FLUSH, action, None)
 
     # ------------------------------------------------------------------
     # BusAgent interface (the snooping side).
     # ------------------------------------------------------------------
     def snoop(self, txn: Transaction) -> SnoopResponse:
-        found = self.cache.lookup(txn.address)
+        found = self.resident.get(txn.address)
         if found is None:
-            return SnoopResponse.NONE
+            return _NO_RESPONSE
         set_index, way, line = found
-        ctx = SnoopContext(
-            address=txn.address,
-            sequence=self._seq,
-            recency_source=(self.cache, set_index, way),
-        )
-        try:
-            action = self.protocol.snoop_action(line.state, txn.event, ctx)
-        except IllegalTransitionError as exc:
-            raise ProtocolGapError(
-                f"{self.unit_id} snooping {txn.describe()}: {exc}"
-            ) from exc
+        state = line.state
+        if not state.valid:
+            return _NO_RESPONSE
+        event = txn.event
+        tables = self._tables
+        if tables is None:
+            ctx = SnoopContext(
+                address=txn.address,
+                sequence=self._seq,
+                recency_source=(self.cache, set_index, way),
+            )
+            try:
+                action = self.protocol.snoop_action(state, event, ctx)
+            except IllegalTransitionError as exc:
+                raise ProtocolGapError(
+                    f"{self.unit_id} snooping {txn.describe()}: {exc}"
+                ) from exc
+        else:
+            cell = state.code * 6 + event.code
+            action = tables[1][cell]
+            if action is None:
+                exc = IllegalTransitionError(self.protocol.name, state, event)
+                raise ProtocolGapError(
+                    f"{self.unit_id} snooping {txn.describe()}: {exc}"
+                ) from exc
         if self.transition_observer is not None:
-            self.transition_observer(
-                self.unit_id, "snoop", line.state, txn.event, action
+            self.transition_observer(self.unit_id, "snoop", state, event, action)
+        if self._trace_sink is not None:
+            self._trace_sink(
+                self._trace_code("snoop", self.unit_id, state, event, action)
+                if tables is None
+                else self._trace_snoop + cell
             )
-        if self.trace_observer is not None:
-            self.trace_observer(
-                self.unit_id, "snoop", line.state, txn.event, action
-            )
-        self._pending = _PendingSnoop(
-            serial=txn.serial, line=line, action=action, was_valid=line.valid
-        )
+        self._pending = (txn.serial, line, action)
         return action.response
 
     def transaction_aborted(self, txn: Transaction) -> None:
-        if self._pending is not None and self._pending.serial == txn.serial:
+        if self._pending is not None and self._pending[0] == txn.serial:
             self._pending = None
 
     def abort_push(self, txn: Transaction, bus: Futurebus) -> None:
         pending = self._pending
-        assert pending is not None and pending.serial == txn.serial
-        assert pending.action.abort_push
+        assert pending is not None and pending[0] == txn.serial
+        _, line, action = pending
+        assert action.abort_push
         self._pending = None
-        signals = pending.action.push_signals or MasterSignals(ca=True)
-        bus.execute(
-            self.unit_id, txn.address, signals, BusOp.WRITE, pending.line.value
-        )
+        signals = action.push_signals or _PUSH_SIGNALS
+        bus.execute(self.unit_id, txn.address, signals, BusOp.WRITE, line.value)
         self.stats.abort_pushes += 1
         self.stats.write_backs += 1
-        next_state = resolve_next_state(pending.action.next_state, False)
+        next_state = action.next_if_not_ch
         if next_state.valid:
-            pending.line.state = next_state
+            line.state = next_state
         else:
-            pending.line.invalidate()
+            line.invalidate()
 
     def supply_data(self, txn: Transaction) -> int:
         pending = self._pending
-        assert pending is not None and pending.serial == txn.serial
+        assert pending is not None and pending[0] == txn.serial
         self.stats.interventions_supplied += 1
-        return pending.line.value
+        return pending[1].value
 
     def capture_write(self, txn: Transaction) -> None:
         pending = self._pending
-        assert pending is not None and pending.serial == txn.serial
+        assert pending is not None and pending[0] == txn.serial
         assert txn.value is not None
-        pending.line.value = txn.value
+        pending[1].value = txn.value
         self.stats.writes_captured += 1
 
     def connect_update(self, txn: Transaction) -> None:
         pending = self._pending
-        assert pending is not None and pending.serial == txn.serial
+        assert pending is not None and pending[0] == txn.serial
         assert txn.value is not None
-        pending.line.value = txn.value
+        pending[1].value = txn.value
         self.stats.updates_received += 1
 
     def finalize(self, txn: Transaction, aggregate: ResponseAggregate) -> None:
         pending = self._pending
-        if pending is None or pending.serial != txn.serial:
+        if pending is None or pending[0] != txn.serial:
             return
         self._pending = None
-        resolved = resolve_next_state(pending.action.next_state, aggregate.ch)
+        _, line, action = pending
+        resolved = action.next_if_ch if aggregate.ch else action.next_if_not_ch
         if resolved.valid:
-            pending.line.state = resolved
+            line.state = resolved
         else:
-            if pending.was_valid:
-                self.stats.invalidations_received += 1
-            pending.line.invalidate()
+            # Only holders of a valid copy are snooped, so dropping the
+            # line is always an invalidation received.
+            self.stats.invalidations_received += 1
+            line.invalidate()
 
     # ------------------------------------------------------------------
     # Inspection (invariant checking, tests).
@@ -464,8 +570,8 @@ class CacheController(BusAgent):
         return self.cache.probe_state(line_address)
 
     def value_of(self, line_address: int) -> Optional[int]:
-        found = self.cache.lookup(line_address)
-        return found[2].value if found else None
+        line = self._valid_line(line_address)
+        return line.value if line is not None else None
 
     def cached_lines(self):
         """Yield (line_address, state, value) for every valid line."""
@@ -492,9 +598,16 @@ class NonCachingMaster(BusAgent):
         self.bus: Optional[Futurebus] = None
         #: Same hooks as on :class:`CacheController`.
         self.transition_observer = None
-        self.trace_observer = None
+        self._trace_sink = None
+        self._trace_code = None
         if bus is not None:
             self.attach_to(bus)
+
+    def attach_trace(self, tracer) -> None:
+        """Record this board's protocol decisions in a
+        :class:`repro.obs.trace.Tracer` (``None`` detaches)."""
+        self._trace_sink = None if tracer is None else tracer.transition_sink
+        self._trace_code = None if tracer is None else tracer.cell_code
 
     def attach_to(self, bus: Futurebus) -> None:
         self.bus = bus
@@ -511,10 +624,10 @@ class NonCachingMaster(BusAgent):
             self.transition_observer(
                 self.unit_id, "local", LineState.INVALID, event, action
             )
-        if self.trace_observer is not None:
-            self.trace_observer(
-                self.unit_id, "local", LineState.INVALID, event, action
-            )
+        if self._trace_sink is not None:
+            self._trace_sink(self._trace_code(
+                "local", self.unit_id, LineState.INVALID, event, action
+            ))
         return action
 
     def read(self, byte_address: int) -> int:

@@ -92,6 +92,22 @@ def resolve_next_state(next_state: NextState, ch_observed: bool) -> LineState:
     return next_state
 
 
+def _set_resolved(action) -> None:
+    """Store an action's next state resolved both ways as plain
+    attributes (not fields, so ``==``, ``hash`` and ``notation()`` ignore
+    them): ``next_if_ch`` when CH was observed, ``next_if_not_ch`` when
+    not -- the state a silent action lands in.  Controllers read one of
+    them on every transition instead of calling
+    :func:`resolve_next_state`."""
+    next_state = action.next_state
+    object.__setattr__(
+        action, "next_if_ch", resolve_next_state(next_state, True)
+    )
+    object.__setattr__(
+        action, "next_if_not_ch", resolve_next_state(next_state, False)
+    )
+
+
 class MasterKind(enum.Enum):
     """Which kind of board an action in the class table is intended for.
 
@@ -153,6 +169,7 @@ class LocalAction:
         )
         object.__setattr__(self, "uses_bus", uses_bus)
         object.__setattr__(self, "is_silent", not uses_bus)
+        _set_resolved(self)
 
     def notation(self) -> str:
         """Render in the paper's cell notation, e.g. ``CH:O/M,CA,IM,BC,W``."""
@@ -201,6 +218,7 @@ class SnoopAction:
             raise ValueError("an abort-push action must assert BS")
         if self.push_signals is not None and not self.abort_push:
             raise ValueError("push_signals only apply to abort-push actions")
+        _set_resolved(self)
 
     @property
     def intervenes(self) -> bool:

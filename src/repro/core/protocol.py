@@ -181,6 +181,18 @@ class Protocol(abc.ABC):
     ) -> SnoopAction:
         """The response to an observed bus event."""
 
+    def static_tables(self) -> Optional[tuple[tuple, tuple]]:
+        """The flat ``(local, snoop)`` action tables, when this protocol's
+        choice never depends on the context or on earlier choices.
+
+        Indexed like :mod:`repro.core.transitions`' compiled tables
+        (``state.code * 4 + event.code`` and ``state.code * 6 +
+        event.code``), ``None`` in illegal cells.  The controller serves
+        every decision straight from them; ``None`` (the default) keeps
+        it calling :meth:`local_action`/:meth:`snoop_action` with a
+        context."""
+        return None
+
     # ------------------------------------------------------------------
     # Introspection used by the validator and the table generator.
     # ------------------------------------------------------------------
@@ -311,6 +323,20 @@ class TableProtocol(Protocol):
                 )
         self._fast_tables = tables
         return tables
+
+    def static_tables(self) -> Optional[tuple[tuple, tuple]]:
+        """The compiled flat tables, unless a subclass overrides the
+        lookups or the fast path is disabled."""
+        cls = type(self)
+        if (
+            cls.local_action is not TableProtocol.local_action
+            or cls.snoop_action is not TableProtocol.snoop_action
+        ):
+            return None
+        tables = self._fast_tables
+        if tables is None:
+            tables = self._compile_fast_tables()
+        return tables or None
 
     def local_action(
         self,

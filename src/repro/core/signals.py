@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 from typing import Iterable, Optional
 
 __all__ = [
@@ -89,6 +90,15 @@ class MasterSignals:
     # choose to broadcast the transfer so third parties can refresh
     # themselves.  Snoopers classify such a transfer like a non-modifying
     # access (see :meth:`repro.core.events.BusEvent.from_signals`).
+
+    @functools.cached_property
+    def event(self):
+        """The :class:`~repro.core.events.BusEvent` snoopers observe,
+        classified once per instance: every transaction reads it, and an
+        action's signals are built once with its table."""
+        from repro.core.events import BusEvent
+
+        return BusEvent.from_signals(self)
 
     @property
     def is_write(self) -> bool:

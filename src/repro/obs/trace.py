@@ -37,6 +37,16 @@ __all__ = ["TraceEvent", "Tracer", "attach_tracer", "bus_event_args"]
 _OP_NAMES: dict = {}
 
 
+def _op_names() -> dict:
+    if not _OP_NAMES:
+        from repro.core.actions import BusOp
+
+        _OP_NAMES.update(
+            {BusOp.READ: "read", BusOp.WRITE: "write", BusOp.NONE: "addr-only"}
+        )
+    return _OP_NAMES
+
+
 def bus_event_args(txn, result) -> dict:
     """The structured payload for one completed Futurebus transaction.
 
@@ -45,15 +55,9 @@ def bus_event_args(txn, result) -> dict:
     ``(Transaction, TransactionResult)`` capture and a traced run
     describe the same transaction with the same fields.
     """
-    if not _OP_NAMES:
-        from repro.core.actions import BusOp
-
-        _OP_NAMES.update(
-            {BusOp.READ: "read", BusOp.WRITE: "write", BusOp.NONE: "addr-only"}
-        )
     signals = txn.signals
     aggregate = result.aggregate
-    op = _OP_NAMES.get(txn.op) or str(txn.op)
+    op = _op_names().get(txn.op) or str(txn.op)
     return {
         "serial": txn.serial,
         "address": txn.address,
@@ -116,31 +120,106 @@ class TraceEvent:
         )
 
 
+#: Slots of a bus record before its connectors.
+_BUS_WIDTH = 12
+
+
+#: ``(unit, id(tables))`` -> ``(tables, cells)``: the cell entries of one
+#: board's flat tables, local cells then snoop cells.  Tables are shared
+#: per protocol class, so this stays small; holding ``tables`` keeps
+#: its id valid.
+_REGISTERED_CELLS: dict = {}
+
+
+def _table_cells(unit: str, tables: tuple) -> tuple:
+    from repro.core.events import BusEvent, LocalEvent
+    from repro.core.states import LineState
+
+    states = sorted(LineState, key=lambda state: state.code)
+    cells = []
+    for side, events, table in (
+        ("local", LocalEvent, tables[0]),
+        ("snoop", BusEvent, tables[1]),
+    ):
+        events = sorted(events, key=lambda event: event.code)
+        width = len(events)
+        cells.extend(
+            None if action is None
+            else (side, unit, states[index // width], events[index % width],
+                  action)
+            for index, action in enumerate(table)
+        )
+    return tuple(cells)
+
+
 class Tracer:
     """Collects :class:`TraceEvent` records from every instrumented layer.
 
     The tracer keeps a logical clock fed by bus-transaction durations, so
     untimed (synchronous) runs still render as a meaningful timeline; DES
     events carry their own simulated timestamps.
+
+    Emission appends one flat record to ``_pending``:
+
+    * a transition is one int, its *cell code*: an index into ``_cells``,
+      where each entry is one ``(side, unit, state, event, action)``
+      decision.  A board served from flat tables registers them once
+      (:meth:`register_tables`) and emits ``base + cell index`` through
+      :attr:`transition_sink`, a bound ``list.append`` -- no Python-level
+      call per decision; any other board interns each decision through
+      :meth:`cell_code`;
+    * every other record starts with a string naming its kind, then its
+      fields: ``"bus"`` -- master, serial, address, op, master signals,
+      response aggregate, bus event, supplier, retries, duration, the
+      connector count and then each connector; ``"des"`` -- simulated
+      time, unit, name, args; ``"mark"`` -- unit, name, args;
+      ``"absorbed"`` -- the :class:`TraceEvent` itself.
+
+    Sequence numbers and logical times are not stored: every record takes
+    the next sequence number, and decoding replays the clock (a bus
+    record advances it by its duration, a DES record moves it forward to
+    its time; transitions and marks read it).  Fields are ints, floats,
+    ``None``, the units' own strings and long-lived objects the run
+    already holds (ops, events, the signals of the protocol tables, the
+    interned response aggregates), so a traced run allocates nothing per
+    event that the garbage collector tracks -- a record that held the
+    live ``Transaction``/``TransactionResult`` kept three tracked objects
+    alive per transaction, and a traced run paid several extra
+    collections for them.  :meth:`export` and :attr:`events` decode the
+    records.
     """
 
     enabled = True
 
     def __init__(self, stream: str = "run") -> None:
         self.stream = stream
-        #: Materialized events; emission appends compact tuples to
-        #: ``_pending`` instead and defers :class:`TraceEvent`
-        #: construction (f-strings, notation rendering, arg dicts,
-        #: rounding) to the first read.  The hot path -- one
-        #: ``transition`` record per protocol decision, one ``bus``
-        #: record per transaction -- becomes a single tuple append.
+        #: Materialized events (the decoded prefix of the stream).
         self._events: list[TraceEvent] = []
-        self._pending: list[tuple] = []
-        self.clock_ns = 0.0
-        self._seq = 0
+        #: Flat records not yet decoded (see the class docstring).
+        self._pending: list = []
+        #: Records in ``_pending`` that are not transitions, and the
+        #: slots they fill: every other slot is a one-slot transition,
+        #: so the event count needs no scan.
+        self._other_records = 0
+        self._other_slots = 0
+        #: Cell code -> ``(side, unit, state, event, action)`` (``None``
+        #: for an illegal cell of a registered table), and the interning
+        #: index of :meth:`cell_code`.
+        self._cells: list = []
+        self._cell_codes: dict = {}
+        #: The logical clock at the end of the materialized prefix.
+        self._clock_ns = 0.0
+        #: ``append`` of the flat record list (cleared in place, never
+        #: rebound): the controllers' trace sink, taking cell codes.
+        self.transition_sink = self._pending.append
 
     def __len__(self) -> int:
-        return self._seq
+        return (
+            len(self._events)
+            + self._other_records
+            + len(self._pending)
+            - self._other_slots
+        )
 
     @property
     def events(self) -> list[TraceEvent]:
@@ -150,108 +229,182 @@ class Tracer:
         return self._events
 
     # ------------------------------------------------------------------
-    # Emission (compact records; see _materialize for the shapes).
+    # Transition cells.
+    # ------------------------------------------------------------------
+    def register_tables(self, unit: str, tables: tuple) -> tuple[int, int]:
+        """Give every cell of a board's flat ``(local, snoop)`` tables
+        (:meth:`repro.core.protocol.Protocol.static_tables`) a code;
+        returns the local and snoop bases, so a decision's code is
+        ``base + cell index``."""
+        key = (unit, id(tables))
+        entry = _REGISTERED_CELLS.get(key)
+        if entry is None:
+            entry = _REGISTERED_CELLS[key] = (tables, _table_cells(unit, tables))
+        local_base = len(self._cells)
+        self._cells.extend(entry[1])
+        return local_base, local_base + len(tables[0])
+
+    def cell_code(self, side: str, unit: str, state, event, action) -> int:
+        """The code of one decision, interned on first sight (boards whose
+        choice depends on a context have no fixed table)."""
+        key = (side, unit, state, event, id(action))
+        code = self._cell_codes.get(key)
+        if code is None:
+            code = self._cell_codes[key] = len(self._cells)
+            self._cells.append((side, unit, state, event, action))
+        return code
+
+    # ------------------------------------------------------------------
+    # Emission (flat records; see the class docstring for the layout).
     # ------------------------------------------------------------------
     def bus_transaction(self, txn, result) -> None:
         """Record one completed Futurebus transaction (the hook
-        :attr:`repro.bus.futurebus.Futurebus.observer` calls).
-
-        Deferring the encode is safe: the bus never mutates ``txn``
-        after the observer call, and ``result`` is frozen."""
-        start = self.clock_ns
-        self.clock_ns += result.duration_ns
-        self._pending.append(("bus", self._seq, start, txn, result))
-        self._seq += 1
-
-    def transition(self, unit: str, side: str, state, event, action) -> None:
-        """Record one protocol decision: the (state, event, action) cell
-        that fired, as the controller trace hooks report it."""
-        self._pending.append(
-            (
-                "transition",
-                self._seq,
-                self.clock_ns,
-                unit,
-                side,
-                state,
-                event,
-                action,
-            )
-        )
-        self._seq += 1
+        :attr:`repro.bus.futurebus.Futurebus.observer` calls)."""
+        connectors = result.connectors
+        pending = self._pending
+        pending.extend((
+            "bus", txn.master, txn.serial, txn.address, txn.op, txn.signals,
+            result.aggregate, txn.event, result.supplier, result.retries,
+            result.duration_ns, len(connectors),
+        ))
+        if connectors:
+            pending.extend(connectors)
+        self._other_records += 1
+        self._other_slots += _BUS_WIDTH + len(connectors)
 
     def des(self, name: str, t_ns: float, unit: str, **args) -> None:
         """Record DES activity (``schedule`` / ``fire`` / ``retire``) at
         simulated time ``t_ns``."""
-        if t_ns > self.clock_ns:
-            self.clock_ns = t_ns
-        self._pending.append(("des", self._seq, t_ns, unit, name, args))
-        self._seq += 1
+        self._other_record(("des", t_ns, unit, name, args))
 
     def mark(self, name: str, unit: Optional[str] = None, **args) -> None:
         """Record a named waypoint with structured arguments."""
-        self._pending.append(
-            ("mark", self._seq, self.clock_ns, unit, name, args)
-        )
-        self._seq += 1
+        self._other_record(("mark", unit, name, args))
 
-    def _materialize(self) -> None:
-        """Encode pending compact records into :class:`TraceEvent` objects.
+    def _other_record(self, record: tuple) -> None:
+        self._pending.extend(record)
+        self._other_records += 1
+        self._other_slots += len(record)
 
-        Produces byte-identical events to the former eager encoding:
-        same field values, same rounding, same order (``seq`` was
-        assigned at emission, interleaving correctly with absorbed
-        streams)."""
-        events = self._events
-        for record in self._pending:
-            kind = record[0]
-            if kind == "bus":
-                _, seq, t_ns, txn, result = record
-                events.append(
-                    TraceEvent(
-                        seq=seq,
-                        kind="bus",
-                        name=txn.event.name,
-                        t_ns=round(t_ns, 3),
-                        unit=txn.master,
-                        stream=self.stream,
-                        args=bus_event_args(txn, result),
-                    )
-                )
-            elif kind == "transition":
-                _, seq, t_ns, unit, side, state, event, action = record
-                events.append(
-                    TraceEvent(
-                        seq=seq,
-                        kind="transition",
-                        name=f"{state.letter}/{event.name}",
-                        t_ns=round(t_ns, 3),
-                        unit=unit,
-                        stream=self.stream,
-                        args={
+    # ------------------------------------------------------------------
+    # Decoding.
+    # ------------------------------------------------------------------
+    def _decode(self) -> tuple[list[dict], float]:
+        """The pending records as export dicts, in emission order, and
+        the clock after the last of them.
+
+        Per-cell names and args are built once per cell code -- a trace
+        has thousands of transition records drawn from at most a few
+        dozen cells per board."""
+        op_names = _op_names()
+        stream = self.stream
+        cells: dict = {}
+        out: list[dict] = []
+        append = out.append
+        pending = self._pending
+        seq = len(self._events)
+        clock = self._clock_ns
+        i = 0
+        end = len(pending)
+        while i < end:
+            kind = pending[i]
+            if kind.__class__ is int:  # a transition: its cell code
+                i += 1
+                cell = cells.get(kind)
+                if cell is None:
+                    side, unit, state, event, action = self._cells[kind]
+                    cell = cells[kind] = (
+                        f"{state.letter}/{event.name}",
+                        unit,
+                        {
                             "side": side,
                             "state": state.letter,
                             "event": event.name,
                             "action": action.notation(),
                         },
                     )
-                )
+                append({
+                    "seq": seq,
+                    "kind": "transition",
+                    "name": cell[0],
+                    "t_ns": round(clock, 3),
+                    "unit": cell[1],
+                    "stream": stream,
+                    "args": dict(cell[2]),
+                })
+            elif kind == "bus":
+                (_, master, serial, address, op, signals, aggregate, event,
+                 supplier, retries, duration,
+                 n_connectors) = pending[i:i + _BUS_WIDTH]
+                i += _BUS_WIDTH
+                connectors = pending[i:i + n_connectors]
+                i += n_connectors
+                start = clock
+                clock = start + duration
+                append({
+                    "seq": seq,
+                    "kind": "bus",
+                    "name": event.name,
+                    "t_ns": round(start, 3),
+                    "unit": master,
+                    "stream": stream,
+                    "args": {
+                        "serial": serial,
+                        "address": address,
+                        "op": op_names.get(op) or str(op),
+                        "CA": signals.ca,
+                        "IM": signals.im,
+                        "BC": signals.bc,
+                        "CH": aggregate.ch,
+                        "DI": aggregate.di,
+                        "SL": aggregate.sl,
+                        "BS": aggregate.bs,
+                        "column": event.note,
+                        "supplier": supplier,
+                        "connectors": connectors,
+                        "retries": retries,
+                        "duration_ns": round(duration, 3),
+                    },
+                })
+            elif kind == "des":
+                _, t_ns, unit, name, args = pending[i:i + 5]
+                i += 5
+                if t_ns > clock:
+                    clock = t_ns
+                append({
+                    "seq": seq,
+                    "kind": "des",
+                    "name": name,
+                    "t_ns": round(t_ns, 3),
+                    "unit": unit,
+                    "stream": stream,
+                    "args": args,
+                })
+            elif kind == "mark":
+                _, unit, name, args = pending[i:i + 4]
+                i += 4
+                append({
+                    "seq": seq,
+                    "kind": "mark",
+                    "name": name,
+                    "t_ns": round(clock, 3),
+                    "unit": unit,
+                    "stream": stream,
+                    "args": args,
+                })
             elif kind == "absorbed":
-                events.append(record[1])
-            else:  # "des" | "mark"
-                _, seq, t_ns, unit, name, args = record
-                events.append(
-                    TraceEvent(
-                        seq=seq,
-                        kind=kind,
-                        name=name,
-                        t_ns=round(t_ns, 3),
-                        unit=unit,
-                        stream=self.stream,
-                        args=args,
-                    )
-                )
+                append(pending[i + 1].to_dict())
+                i += 2
+            seq += 1
+        return out, clock
+
+    def _materialize(self) -> None:
+        """Decode the pending records into :class:`TraceEvent` objects."""
+        decoded, self._clock_ns = self._decode()
+        self._events.extend(TraceEvent(**data) for data in decoded)
         self._pending.clear()
+        self._other_records = 0
+        self._other_slots = 0
 
     # ------------------------------------------------------------------
     # Merging (serial/parallel equivalence).
@@ -259,79 +412,12 @@ class Tracer:
     def export(self) -> list[dict]:
         """The event stream as plain dicts (picklable, JSON-able).
 
-        Pending compact records are encoded straight to their dict form;
-        the :class:`TraceEvent` hop is only taken for events someone
-        already materialized by reading :attr:`events`.  Per-cell name
-        strings and per-action notations are cached across the loop --
-        a trace has thousands of transition records drawn from at most a
-        few dozen distinct table cells."""
+        Pending records are decoded straight to their dict form; the
+        :class:`TraceEvent` hop is only taken for events someone already
+        materialized by reading :attr:`events`."""
         out = [event.to_dict() for event in self._events]
-        if not self._pending:
-            return out
-        stream = self.stream
-        cell_names: dict = {}
-        notations: dict = {}
-        for record in self._pending:
-            kind = record[0]
-            if kind == "transition":
-                _, seq, t_ns, unit, side, state, event, action = record
-                cell = (state, event)
-                cached = cell_names.get(cell)
-                if cached is None:
-                    cached = (
-                        f"{state.letter}/{event.name}",
-                        state.letter,
-                        event.name,
-                    )
-                    cell_names[cell] = cached
-                notation = notations.get(id(action))
-                if notation is None:
-                    notation = action.notation()
-                    notations[id(action)] = notation
-                out.append(
-                    {
-                        "seq": seq,
-                        "kind": "transition",
-                        "name": cached[0],
-                        "t_ns": round(t_ns, 3),
-                        "unit": unit,
-                        "stream": stream,
-                        "args": {
-                            "side": side,
-                            "state": cached[1],
-                            "event": cached[2],
-                            "action": notation,
-                        },
-                    }
-                )
-            elif kind == "bus":
-                _, seq, t_ns, txn, result = record
-                out.append(
-                    {
-                        "seq": seq,
-                        "kind": "bus",
-                        "name": txn.event.name,
-                        "t_ns": round(t_ns, 3),
-                        "unit": txn.master,
-                        "stream": stream,
-                        "args": bus_event_args(txn, result),
-                    }
-                )
-            elif kind == "absorbed":
-                out.append(record[1].to_dict())
-            else:  # "des" | "mark"
-                _, seq, t_ns, unit, name, args = record
-                out.append(
-                    {
-                        "seq": seq,
-                        "kind": kind,
-                        "name": name,
-                        "t_ns": round(t_ns, 3),
-                        "unit": unit,
-                        "stream": stream,
-                        "args": args,
-                    }
-                )
+        if self._pending:
+            out.extend(self._decode()[0])
         return out
 
     def absorb(
@@ -348,17 +434,15 @@ class Tracer:
             event = TraceEvent.from_dict(data)
             if stream is not None:
                 event.stream = stream
-            event.seq = self._seq
-            self._seq += 1
-            self._pending.append(("absorbed", event))
+            event.seq = len(self)
+            self._other_record(("absorbed", event))
 
 
 def attach_tracer(system, tracer: Optional[Tracer]) -> None:
     """Wire ``tracer`` into a System or HierarchicalSystem: the bus-level
-    transaction observer plus every controller's transition trace hook.
+    transaction observer plus every controller's transition trace sink.
     Pass ``None`` to detach."""
     hook = None if tracer is None else tracer.bus_transaction
-    transition = None if tracer is None else tracer.transition
     for attr in ("bus", "global_bus"):
         bus = getattr(system, attr, None)
         if bus is not None:
@@ -368,4 +452,4 @@ def attach_tracer(system, tracer: Optional[Tracer]) -> None:
         for bridge in bridges.values():
             bridge.local_bus.observer = hook
     for board in system.controllers.values():
-        board.trace_observer = transition
+        board.attach_trace(tracer)

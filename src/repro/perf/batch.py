@@ -60,7 +60,7 @@ from repro.core.transitions import (
     bus_event_code_table,
     lower_batch_tables,
 )
-from repro.perf.pool import parallel_map
+from repro.perf.pool import parallel_map, resolve_workers
 from repro.protocols.registry import make_protocol
 from repro.specs import BatchSpec
 
@@ -1606,10 +1606,14 @@ def batch_protocol_sweep(
         protocols = batchable_specs()
     from repro.perf.shared import publish_tables, unlink_tables
 
-    try:
-        tables_shm = publish_tables(list(protocols))
-    except Exception:
-        tables_shm = None  # no shared memory here: workers lower directly
+    tables_shm = None
+    # The tables segment only serves workers: publish it when the map can
+    # fan out, not for a sweep that will run in this process.
+    if len(protocols) > 1 and resolve_workers(workers) > 1:
+        try:
+            tables_shm = publish_tables(list(protocols))
+        except Exception:
+            pass  # no shared memory here: workers lower directly
     task_fn = functools.partial(_batch_task, backend, tables_shm)
     tasks = [
         BatchSpec(

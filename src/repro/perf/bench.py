@@ -20,8 +20,9 @@ The suite is fixed so successive PRs can track the trajectory:
 * **serve** -- the memoizing service tier: one spec executed cold
   (cache miss, full job body) then answered warm (cache hit), with the
   cache hit/miss counters and the warm-pool dispatch stats recorded.
-  The memo-hit latency is gated against an absolute budget
-  (:data:`MAX_SERVE_HIT_S`); the miss side stays informational;
+  The memo-hit latency percentiles (``hit_ns_p50``/``hit_ns_p99``)
+  are gated against an absolute budget (:data:`MAX_SERVE_HIT_S`); the
+  miss side stays informational;
 * **serve_batch** -- continuous batching: a burst of compatible batch
   specs executed one at a time (the pre-batching serve path) and then
   as one coalesced population
@@ -53,6 +54,7 @@ __all__ = [
     "BENCH_FILENAME",
     "MIN_TPS_RATIO",
     "MAX_TRACED_OVERHEAD_PCT",
+    "MAX_DISABLED_OVERHEAD_PCT",
     "BATCH_MIN_EXPLORER_MULTIPLE",
     "MAX_SERVE_HIT_S",
     "MIN_SERVE_BATCH_SPEEDUP",
@@ -62,9 +64,11 @@ BENCH_FILENAME = "BENCH_perf.json"
 
 #: Regression budgets the bench smoke job enforces: the explorer may not
 #: lose more than 10% transitions/sec against the committed baseline,
-#: and the traced-run observability tax must stay within budget.
+#: and the observability tax must stay within budget, traced and with
+#: tracing off (the disabled path is guards only).
 MIN_TPS_RATIO = 0.9
 MAX_TRACED_OVERHEAD_PCT = 25.0
+MAX_DISABLED_OVERHEAD_PCT = 5.0
 
 #: The batch kernel's floor: aggregate transitions/sec must stay at
 #: least this multiple of the committed explorer baseline
@@ -480,11 +484,12 @@ def regression_report(report: dict, baseline: dict) -> dict:
     throttled container says more about the host than the code, and the
     yardstick cancels host speed out.  The serial-vs-parallel speedups
     and the observability overheads are reported side by side; the
-    traced overhead is additionally checked against
-    :data:`MAX_TRACED_OVERHEAD_PCT` (an absolute budget, so it holds
-    even when the baseline itself was over), and the serve tier's
-    memo-hit latency against :data:`MAX_SERVE_HIT_S` (absolute,
-    host-discounted the same way as the throughput gates).
+    traced and disabled overheads are additionally checked against
+    :data:`MAX_TRACED_OVERHEAD_PCT` and :data:`MAX_DISABLED_OVERHEAD_PCT`
+    (absolute budgets, so they hold even when the baseline itself was
+    over), and the serve tier's memo-hit p50 and p99 latencies against
+    :data:`MAX_SERVE_HIT_S` (absolute, host-discounted the same way as
+    the throughput gates).
     """
     failures: list[str] = []
     explorer_rows = []
@@ -543,11 +548,16 @@ def regression_report(report: dict, baseline: dict) -> dict:
         for name in ("matrix", "des")
     }
     traced = report["obs"]["overhead_traced_pct"]
-    if traced > MAX_TRACED_OVERHEAD_PCT:
-        failures.append(
-            f"obs: traced overhead {traced:.2f}% exceeds budget "
-            f"{MAX_TRACED_OVERHEAD_PCT:.0f}%"
-        )
+    disabled = report["obs"]["overhead_disabled_pct"]
+    for leg, overhead, budget in (
+        ("traced", traced, MAX_TRACED_OVERHEAD_PCT),
+        ("disabled", disabled, MAX_DISABLED_OVERHEAD_PCT),
+    ):
+        if overhead > budget:
+            failures.append(
+                f"obs: {leg} overhead {overhead:.2f}% exceeds budget "
+                f"{budget:.0f}%"
+            )
     batch = report.get("batch")
     batch_section = None
     if batch is not None:
@@ -677,33 +687,39 @@ def regression_report(report: dict, baseline: dict) -> dict:
         }
     serve = report.get("serve")
     serve_section = None
-    if serve is not None and serve.get("hit_s") is not None:
-        hit_s = serve["hit_s"]
-        # Lower-is-better normalization, mirroring the tps gates: a
-        # slower host (host_factor > 1) inflates the raw latency, so the
-        # host-discounted value is hit_s / host_factor and the gate
-        # takes whichever of the two clears the budget -- a real memo
-        # regression inflates both.
-        normalized_hit = (
-            hit_s / host_factor if host_factor else None
-        )
-        gated_hit = (
-            min(hit_s, normalized_hit) if normalized_hit is not None else hit_s
-        )
-        if gated_hit > MAX_SERVE_HIT_S:
-            failures.append(
-                f"serve: memo-hit latency {gated_hit * 1e6:.0f}us exceeds "
-                f"the {MAX_SERVE_HIT_S * 1e6:.0f}us budget"
-            )
+    if serve is not None and serve.get("hit_ns_p50") is not None:
         serve_section = {
-            "baseline_hit_s": baseline.get("serve", {}).get("hit_s"),
-            "current_hit_s": hit_s,
-            "current_hit_s_normalized": (
-                round(normalized_hit, 6)
-                if normalized_hit is not None
-                else None
+            "baseline_hit_ns_p50": baseline.get("serve", {}).get(
+                "hit_ns_p50"
             ),
         }
+        for name in ("p50", "p99"):
+            hit_s = serve[f"hit_ns_{name}"] * 1e-9
+            # Lower-is-better normalization, mirroring the tps gates: a
+            # slower host (host_factor > 1) inflates the raw latency, so
+            # the host-discounted value is hit_s / host_factor and the
+            # gate takes whichever of the two clears the budget -- a
+            # real memo regression inflates both.
+            normalized_hit = hit_s / host_factor if host_factor else None
+            gated_hit = (
+                min(hit_s, normalized_hit)
+                if normalized_hit is not None
+                else hit_s
+            )
+            if gated_hit > MAX_SERVE_HIT_S:
+                failures.append(
+                    f"serve: memo-hit {name} latency "
+                    f"{gated_hit * 1e6:.0f}us exceeds the "
+                    f"{MAX_SERVE_HIT_S * 1e6:.0f}us budget"
+                )
+            serve_section[f"current_hit_ns_{name}"] = serve[
+                f"hit_ns_{name}"
+            ]
+            serve_section[f"current_hit_ns_{name}_normalized"] = (
+                round(normalized_hit * 1e9)
+                if normalized_hit is not None
+                else None
+            )
     return {
         "baseline_timestamp": baseline.get("timestamp"),
         "explorer": explorer_rows,
@@ -713,6 +729,10 @@ def regression_report(report: dict, baseline: dict) -> dict:
                 "overhead_traced_pct"
             ),
             "current_traced_pct": traced,
+            "baseline_disabled_pct": baseline.get("obs", {}).get(
+                "overhead_disabled_pct"
+            ),
+            "current_disabled_pct": disabled,
         },
         "batch": batch_section,
         "serve": serve_section,
@@ -720,6 +740,7 @@ def regression_report(report: dict, baseline: dict) -> dict:
         "budgets": {
             "min_tps_ratio": MIN_TPS_RATIO,
             "max_traced_overhead_pct": MAX_TRACED_OVERHEAD_PCT,
+            "max_disabled_overhead_pct": MAX_DISABLED_OVERHEAD_PCT,
             "min_batch_explorer_multiple": BATCH_MIN_EXPLORER_MULTIPLE,
             "max_serve_hit_s": MAX_SERVE_HIT_S,
             "min_serve_batch_speedup": MIN_SERVE_BATCH_SPEEDUP,

@@ -13,7 +13,12 @@ from typing import Optional
 
 from repro.core.actions import LocalAction, MasterKind, SnoopAction
 from repro.core.events import BusEvent, LocalEvent
-from repro.core.policy import ActionPolicy, PreferredPolicy
+from repro.core.policy import (
+    ActionPolicy,
+    InvalidatePolicy,
+    PreferredPolicy,
+    UpdatePolicy,
+)
 from repro.core.protocol import (
     IllegalTransitionError,
     LocalContext,
@@ -21,9 +26,20 @@ from repro.core.protocol import (
     SnoopContext,
 )
 from repro.core.states import LineState
-from repro.core.transitions import local_choices, snoop_choices
+from repro.core.transitions import (
+    fast_tables_enabled,
+    local_choices,
+    snoop_choices,
+)
 
 __all__ = ["MoesiProtocol"]
+
+#: Policies whose pick is a pure function of the cell (no context, no
+#: history).  A board running one of them -- the class itself, not a
+#: subclass -- is served from flat tables (:meth:`Protocol.static_tables`).
+_STATELESS_POLICIES = (PreferredPolicy, InvalidatePolicy, UpdatePolicy)
+#: Their flat tables, built once per policy class.
+_STATIC_TABLES: dict[type, tuple[tuple, tuple]] = {}
 
 
 class MoesiProtocol(Protocol):
@@ -50,6 +66,23 @@ class MoesiProtocol(Protocol):
     ) -> None:
         self.policy = policy or PreferredPolicy()
         self.name = name or f"MOESI({self.policy.name})"
+
+    def static_tables(self) -> Optional[tuple[tuple, tuple]]:
+        """The stateless policy's picks as flat tables (``None`` for any
+        other policy, or with the fast path off)."""
+        cls = type(self)
+        policy_cls = type(self.policy)
+        if (
+            not fast_tables_enabled()
+            or policy_cls not in _STATELESS_POLICIES
+            or cls.local_action is not MoesiProtocol.local_action
+            or cls.snoop_action is not MoesiProtocol.snoop_action
+        ):
+            return None
+        tables = _STATIC_TABLES.get(policy_cls)
+        if tables is None:
+            tables = _STATIC_TABLES[policy_cls] = _policy_tables(self.policy)
+        return tables
 
     def local_action(
         self,
@@ -84,3 +117,24 @@ class MoesiProtocol(Protocol):
         self, state: LineState, event: BusEvent
     ) -> tuple[SnoopAction, ...]:
         return snoop_choices(state, event)
+
+
+def _policy_tables(policy: ActionPolicy) -> tuple[tuple, tuple]:
+    """Flat ``(local, snoop)`` tables of a stateless policy's picks over
+    the copy-back class cells (``None`` where a cell is empty)."""
+    local: list = [None] * (len(LineState) * len(LocalEvent))
+    snoop: list = [None] * (len(LineState) * len(BusEvent))
+    for state in LineState:
+        for event in LocalEvent:
+            choices = local_choices(state, event, MasterKind.COPY_BACK)
+            if choices:
+                local[state.code * 4 + event.code] = policy.choose_local(
+                    state, event, choices
+                )
+        for event in BusEvent:
+            choices = snoop_choices(state, event)
+            if choices:
+                snoop[state.code * 6 + event.code] = policy.choose_snoop(
+                    state, event, choices
+                )
+    return tuple(local), tuple(snoop)

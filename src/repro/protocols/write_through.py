@@ -45,6 +45,8 @@ S, I = LineState.SHAREABLE, LineState.INVALID
 #: ``(local, snoop)`` mappings; immutable once built, so every instance
 #: with the same flags shares one pair.
 _TABLES: dict[tuple, tuple] = {}
+#: The same, compiled to flat tables (:meth:`Protocol.static_tables`).
+_FLAT_TABLES: dict[tuple, tuple] = {}
 
 
 def _local(next_state, *, ca=False, im=False, bc=False, op=BusOp.NONE,
@@ -121,6 +123,31 @@ class WriteThroughProtocol(Protocol):
         for event in BusEvent:
             snoop[(I, event)] = _snoop(I)
         return local, snoop
+
+    def static_tables(self) -> Optional[tuple[tuple, tuple]]:
+        """The compiled form of this flavour's tables, shared per flag
+        triple like the mappings (``None`` with the fast path off)."""
+        from repro.core.transitions import (
+            compile_deterministic,
+            fast_tables_enabled,
+        )
+
+        cls = type(self)
+        if (
+            not fast_tables_enabled()
+            or cls.local_action is not WriteThroughProtocol.local_action
+            or cls.snoop_action is not WriteThroughProtocol.snoop_action
+        ):
+            return None
+        flags = (
+            self.broadcast_writes, self.write_allocate, self.update_on_broadcast
+        )
+        flat = _FLAT_TABLES.get(flags)
+        if flat is None:
+            flat = _FLAT_TABLES[flags] = compile_deterministic(
+                self._local, self._snoop
+            )
+        return flat
 
     def local_action(
         self,

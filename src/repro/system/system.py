@@ -40,6 +40,8 @@ from repro.workloads.trace import Op, ReferenceRecord, Trace
 
 __all__ = ["BoardSpec", "CoherenceError", "System"]
 
+_READ = Op.READ
+
 
 @dataclasses.dataclass
 class BoardSpec:
@@ -84,11 +86,11 @@ class System:
         self.line_size: Optional[int] = None
         for spec in boards:
             self._add_board(spec)
-        #: Each caching board's directory ``lookup``, for the per-access
-        #: invariant precheck (boards are fixed from here on, and a
-        #: non-caching master never holds a copy).
-        self._lookups = [
-            board.cache.lookup for board in self.controllers.values()
+        #: Each caching board's resident map, for the per-access
+        #: invariant precheck (boards are fixed from here on, the maps are
+        #: updated in place, and a non-caching master never holds a copy).
+        self._residents = [
+            board.resident for board in self.controllers.values()
             if isinstance(board, CacheController)
         ]
         #: Last written token per line address (the coherence oracle).
@@ -156,7 +158,9 @@ class System:
                     f"{unit} read 0x{byte_address:x}: got token {value}, "
                     f"last write was {expected}"
                 )
-            self._check_invariants(line_address)
+            violations = self._line_violations(line_address)
+            if violations:
+                raise CoherenceError("; ".join(str(v) for v in violations))
         return value
 
     def write(self, unit: str, byte_address: int) -> int:
@@ -168,7 +172,9 @@ class System:
         line_address = byte_address // self.line_size
         self._last_version[line_address] = token
         if self.check:
-            self._check_invariants(line_address)
+            violations = self._line_violations(line_address)
+            if violations:
+                raise CoherenceError("; ".join(str(v) for v in violations))
         return token
 
     def apply(self, record: ReferenceRecord) -> None:
@@ -178,8 +184,13 @@ class System:
             self.write(record.unit, record.address)
 
     def run_trace(self, trace: Union[Trace, Iterable[ReferenceRecord]]) -> None:
+        read = self.read
+        write = self.write
         for record in trace:
-            self.apply(record)
+            if record.op is _READ:
+                read(record.unit, record.address)
+            else:
+                write(record.unit, record.address)
 
     # ------------------------------------------------------------------
     # Observation hooks.
@@ -251,51 +262,48 @@ class System:
             line_addresses = sorted(known)
         violations: list[InvariantViolation] = []
         for line_address in line_addresses:
-            if self._line_clean(line_address):
-                continue
-            violations.extend(check_line(self.line_view(line_address)))
+            violations.extend(self._line_violations(line_address))
         return violations
 
-    def _line_clean(self, line_address: int) -> bool:
-        """One-pass boolean precheck, equivalent to ``check_line`` finding
-        nothing on this line's view.
+    def _line_violations(self, line_address: int):
+        """``check_line`` on this line's view, behind a one-pass precheck.
 
-        ``check_line`` runs after *every* checked access; building the
+        The check runs after *every* checked access, and building the
         :class:`LineView`/:class:`CopyView` snapshot and composing five
-        checkers per access dominated the synchronous runner.  The dirty
-        path falls back to the full checker for identical diagnostics.
+        checkers per access dominated the synchronous runner.  The
+        precheck reads each caching board's resident map and returns
+        ``()`` when ``check_line`` would find nothing; any doubt falls
+        back to the full checker, for identical diagnostics.
         """
         expected = self._last_version.get(line_address, 0)
         n_valid = 0
         n_owners = 0
         sole_copy_seen = False
-        for lookup in self._lookups:
-            found = lookup(line_address)
+        for resident in self._residents:
+            found = resident.get(line_address)
             if found is None:
-                continue  # lookup only returns valid lines
+                continue
             line = found[2]
             state = line.state
+            if not state.valid:
+                continue
+            if line.value != expected:
+                break  # stale copy (COPIES/OWNER_CURRENT)
             n_valid += 1
             if state.intervenient:
                 n_owners += 1
             if state.sole_copy:
                 sole_copy_seen = True
-            if line.value != expected:
-                return False  # stale copy (COPIES/OWNER_CURRENT)
-        if n_owners > 1:
-            return False  # SINGLE_OWNER
-        if sole_copy_seen and n_valid > 1:
-            return False  # EXCLUSIVE_IS_SOLE
-        if n_owners == 0 and self.memory.peek(line_address) != expected:
-            return False  # MEMORY_CURRENT_IF_UNOWNED
-        return True
-
-    def _check_invariants(self, line_address: int) -> None:
-        if self._line_clean(line_address):
-            return
-        violations = check_line(self.line_view(line_address))
-        if violations:
-            raise CoherenceError("; ".join(str(v) for v in violations))
+        else:
+            if (
+                n_owners <= 1  # SINGLE_OWNER
+                and not (sole_copy_seen and n_valid > 1)  # EXCLUSIVE_IS_SOLE
+                and (  # MEMORY_CURRENT_IF_UNOWNED
+                    n_owners or self.memory.peek(line_address) == expected
+                )
+            ):
+                return ()
+        return check_line(self.line_view(line_address))
 
     # ------------------------------------------------------------------
     # Reporting.

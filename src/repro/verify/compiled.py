@@ -29,11 +29,11 @@ keeps the whole search on the object engine, since its cells may read a
 context (an address, a sequence number) that fixed tables cannot.
 
 Checks mirror ``System(check=True)``: a read must observe the last
-written version, and every line must pass an integer form of
-``System._line_clean``.  A transition that fails a check or crashes is
-replayed from its parent state on the wrapped object explorer (bus
-serial included), so violation paths and messages are the object
-engine's own.  The object :class:`Explorer` stays the oracle: the tests
+written version, and every line must pass an integer form of the
+``System._line_violations`` precheck.  A transition that fails a check
+or crashes is replayed from its parent state on the wrapped object
+explorer (bus serial included), so violation paths and messages are the
+object engine's own.  The object :class:`Explorer` stays the oracle: the tests
 compare both searches state for state.
 
 :func:`repro.verify.explorer.explore` imports this module on first use,
@@ -283,7 +283,8 @@ class CompiledExplorer:
     # Steps and checks.
     # ------------------------------------------------------------------
     def _clean(self) -> bool:
-        """``System._line_clean`` on every line, over the kernel lists."""
+        """``System._line_violations`` precheck on every line, over the
+        kernel lists."""
         k = self.kernel
         st, tg, val, mem = k.st, k.tg, k.val, k.mem
         for la, expected in enumerate(k.lastv):

@@ -404,6 +404,10 @@ class Explorer:
         # and the full (unit, kind, address) menu once instead of on every
         # popped frontier state.
         self._unit_lines = tuple(self._unit_line(unit) for unit in self.units)
+        self._unit_caches = tuple(
+            None if line is None else self.system.controllers[unit].cache
+            for unit, line in zip(self.units, self._unit_lines)
+        )
         self._step_menu = tuple(
             (unit, kind, address)
             for unit in self.units
@@ -434,10 +438,13 @@ class Explorer:
 
     def _restore(self, snapshot) -> None:
         units, memory, lasts, counter = snapshot
-        for line, saved in zip(self._unit_lines, units):
+        for cache, line, saved in zip(self._unit_caches, self._unit_lines, units):
             if line is None:
                 continue
-            line.state, line.value, line.tag = saved
+            line.state, line.value, tag = saved
+            # The tag moves through the cache, which keeps its resident
+            # map exact.
+            cache.retag(0, 0, tag)
         for address, mem_value, last in zip(self.lines, memory, lasts):
             self.system.memory.poke(address, mem_value)
             self.system._last_version[address] = last

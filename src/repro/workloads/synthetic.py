@@ -115,6 +115,10 @@ class SyntheticWorkload:
         rng = random.Random(f"{self.seed}/{processor}")
         last_shared: Optional[int] = None
         last_private: Optional[int] = None
+        # The address map of shared_address/private_address, inlined:
+        # every drawn block is in range by construction.
+        line_size = cfg.line_size
+        private_base = cfg.shared_blocks + processor * cfg.private_blocks
         while True:
             is_shared = rng.random() < cfg.p_shared
             is_write = rng.random() < cfg.p_write
@@ -124,14 +128,14 @@ class SyntheticWorkload:
                 else:
                     block = self._draw_shared_block(rng)
                 last_shared = block
-                address = self.shared_address(block)
+                address = block * line_size
             else:
                 if last_private is not None and rng.random() < cfg.locality:
                     block = last_private
                 else:
                     block = rng.randrange(cfg.private_blocks)
                 last_private = block
-                address = self.private_address(processor, block)
+                address = (private_base + block) * line_size
             yield (Op.WRITE if is_write else Op.READ, address)
 
     def trace(self, references: int) -> Trace:
@@ -141,10 +145,21 @@ class SyntheticWorkload:
         processors = self.config.processors
         records = []
         append = records.append
+        # Records are filled in directly rather than through the frozen
+        # dataclass ``__init__`` (a Python call and one
+        # ``object.__setattr__`` per field, per reference).  The instance
+        # dict is all that ``__init__`` would produce: equality, hashing,
+        # repr, pickling and immutability are the dataclass's own.
+        new_record = object.__new__
         for i in range(references):
             processor = i % processors
             op, address = next(streams[processor])
-            append(ReferenceRecord(unit_ids[processor], op, address))
+            record = new_record(ReferenceRecord)
+            fields = record.__dict__
+            fields["unit"] = unit_ids[processor]
+            fields["op"] = op
+            fields["address"] = address
+            append(record)
         return Trace(records)
 
     def streams(self) -> dict[str, Iterator[tuple[Op, int]]]:

@@ -17,10 +17,13 @@ from __future__ import annotations
 import dataclasses
 import enum
 import io
+import operator
 from pathlib import Path
 from typing import Iterable, Iterator, Union
 
 __all__ = ["Op", "ReferenceRecord", "Trace"]
+
+_UNIT = operator.attrgetter("unit")
 
 
 class Op(enum.Enum):
@@ -81,10 +84,7 @@ class Trace:
     # ------------------------------------------------------------------
     def units(self) -> list[str]:
         """Distinct units in first-appearance order."""
-        seen: dict[str, None] = {}
-        for record in self.records:
-            seen.setdefault(record.unit, None)
-        return list(seen)
+        return list(dict.fromkeys(map(_UNIT, self.records)))
 
     def write_fraction(self) -> float:
         if not self.records:

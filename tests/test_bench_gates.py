@@ -12,13 +12,18 @@ import copy
 import pytest
 
 from repro.perf.bench import (
+    MAX_DISABLED_OVERHEAD_PCT,
     MAX_SERVE_HIT_S,
+    MAX_TRACED_OVERHEAD_PCT,
     MIN_TPS_RATIO,
     regression_report,
 )
 
+_BUDGET_NS = round(MAX_SERVE_HIT_S * 1e9)
 
-def _report(cal=1_000_000.0, hit_s=1e-06, batch_tps=1_000_000.0):
+
+def _report(cal=1_000_000.0, hit_ns=1000, batch_tps=1_000_000.0,
+            hit_ns_p99=None, disabled_pct=1.0):
     return {
         "calibration_ops_per_sec": cal,
         "explorer": [
@@ -26,7 +31,10 @@ def _report(cal=1_000_000.0, hit_s=1e-06, batch_tps=1_000_000.0):
         ],
         "matrix": {"speedup": 1.0},
         "des": {"speedup": 1.0},
-        "obs": {"overhead_traced_pct": 10.0},
+        "obs": {
+            "overhead_traced_pct": 10.0,
+            "overhead_disabled_pct": disabled_pct,
+        },
         "batch": {
             "rows": 1024,
             "verified_ok": True,
@@ -34,7 +42,12 @@ def _report(cal=1_000_000.0, hit_s=1e-06, batch_tps=1_000_000.0):
                 "numpy": {"transitions_per_sec": batch_tps},
             },
         },
-        "serve": {"hit_s": hit_s, "miss_s": 0.03},
+        "serve": {
+            "hit_s": 1e-06,
+            "hit_ns_p50": hit_ns,
+            "hit_ns_p99": hit_ns if hit_ns_p99 is None else hit_ns_p99,
+            "miss_s": 0.03,
+        },
     }
 
 
@@ -43,32 +56,47 @@ BASELINE = _report()
 
 class TestServeGate:
     def test_healthy_hit_passes(self):
-        report = regression_report(_report(hit_s=2e-06), BASELINE)
+        report = regression_report(_report(hit_ns=2000), BASELINE)
         assert report["ok"], report["failures"]
-        assert report["serve"]["current_hit_s"] == 2e-06
+        assert report["serve"]["current_hit_ns_p50"] == 2000
+        assert report["serve"]["current_hit_ns_p99"] == 2000
         assert report["budgets"]["max_serve_hit_s"] == MAX_SERVE_HIT_S
 
     def test_hit_over_budget_fails(self):
         report = regression_report(
-            _report(hit_s=MAX_SERVE_HIT_S * 10), BASELINE
+            _report(hit_ns=_BUDGET_NS * 10), BASELINE
         )
         assert not report["ok"]
         assert any("serve" in f for f in report["failures"])
 
+    def test_tail_over_budget_fails(self):
+        # A typical hit within budget does not hide a slow tail.
+        report = regression_report(
+            _report(hit_ns=1000, hit_ns_p99=_BUDGET_NS * 10), BASELINE
+        )
+        assert not report["ok"]
+        assert any("p99" in f for f in report["failures"])
+
+    def test_gate_reads_percentiles_not_rounded_min(self):
+        # ``hit_s`` is the rounded best case; the gate ignores it.
+        current = _report(hit_ns=_BUDGET_NS * 10)
+        current["serve"]["hit_s"] = 1e-06
+        assert not regression_report(current, BASELINE)["ok"]
+
     def test_slow_host_discount_applies(self):
         # Host at half speed: a raw hit 1.6x over budget normalizes to
         # 0.8x of it -- the gate must credit the host, not the code.
-        slow = _report(cal=500_000.0, hit_s=MAX_SERVE_HIT_S * 1.6)
+        slow = _report(cal=500_000.0, hit_ns=round(_BUDGET_NS * 1.6))
         report = regression_report(slow, BASELINE)
         assert report["ok"], report["failures"]
         assert (
-            report["serve"]["current_hit_s_normalized"]
-            < report["serve"]["current_hit_s"]
+            report["serve"]["current_hit_ns_p50_normalized"]
+            < report["serve"]["current_hit_ns_p50"]
         )
 
     def test_genuine_regression_survives_discount(self):
         # Over budget even after the 2x host credit: must still fail.
-        slow = _report(cal=500_000.0, hit_s=MAX_SERVE_HIT_S * 4)
+        slow = _report(cal=500_000.0, hit_ns=_BUDGET_NS * 4)
         report = regression_report(slow, BASELINE)
         assert not report["ok"]
 
@@ -78,6 +106,32 @@ class TestServeGate:
         report = regression_report(current, BASELINE)
         assert report["ok"], report["failures"]
         assert report["serve"] is None
+
+
+class TestObsGate:
+    def test_disabled_over_budget_fails(self):
+        report = regression_report(
+            _report(disabled_pct=MAX_DISABLED_OVERHEAD_PCT + 0.5), BASELINE
+        )
+        assert not report["ok"]
+        assert any("disabled" in f for f in report["failures"])
+        assert report["obs"]["current_disabled_pct"] == (
+            MAX_DISABLED_OVERHEAD_PCT + 0.5
+        )
+
+    def test_traced_over_budget_fails(self):
+        current = _report()
+        current["obs"]["overhead_traced_pct"] = MAX_TRACED_OVERHEAD_PCT + 1
+        report = regression_report(current, BASELINE)
+        assert not report["ok"]
+        assert any("traced" in f for f in report["failures"])
+
+    def test_within_budgets_passes(self):
+        report = regression_report(_report(disabled_pct=4.9), BASELINE)
+        assert report["ok"], report["failures"]
+        assert report["budgets"]["max_disabled_overhead_pct"] == (
+            MAX_DISABLED_OVERHEAD_PCT
+        )
 
 
 class TestBatchGate:

@@ -168,3 +168,112 @@ class TestLookupAgainstBruteForce:
             elif found is None:
                 cache.fill(line_address, rng.choice((M, E, S)), step)
         assert cache.occupancy() > 0
+
+
+class TestResidentMap:
+    """The resident map behind ``lookup``: after random fills,
+    state writes, invalidations and snapshot restores (the model
+    checker's ``Explorer._restore``), ``lookup`` of every address equals
+    a brute-force scan of every way, and the map holds no entry whose
+    key disagrees with its way's tag."""
+
+    @staticmethod
+    def _scan(cache, line_address):
+        for set_index in range(cache.num_sets):
+            for way, line in enumerate(cache.ways_of(set_index)):
+                if line.state.valid and cache.address_of(
+                    set_index, line.tag
+                ) == line_address:
+                    return set_index, way, line
+        return None
+
+    def _check(self, cache, span):
+        for line_address in range(span):
+            found = cache.lookup(line_address)
+            expected = self._scan(cache, line_address)
+            if expected is None:
+                assert found is None, line_address
+            else:
+                assert found is not None, line_address
+                assert found[:2] == expected[:2]
+                assert found[2] is expected[2]
+        for line_address, (set_index, way, line) in cache.resident.items():
+            assert cache.ways_of(set_index)[way] is line
+            assert cache.address_of(set_index, line.tag) == line_address
+
+    @staticmethod
+    def _snapshot(cache):
+        return [
+            [(line.state, line.value, line.tag) for line in cache.ways_of(s)]
+            for s in range(cache.num_sets)
+        ]
+
+    @staticmethod
+    def _restore(cache, snapshot):
+        # What Explorer._restore does for its 1x1 caches, on every way.
+        for set_index, ways in enumerate(snapshot):
+            lines = cache.ways_of(set_index)
+            for way, (state, value, tag) in enumerate(ways):
+                lines[way].state = state
+                lines[way].value = value
+                cache.retag(set_index, way, tag)
+
+    @pytest.mark.parametrize(
+        "num_sets,associativity", [(1, 1), (4, 2), (64, 2)]
+    )
+    def test_random_sequences_match_brute_force(self, num_sets, associativity):
+        import random
+
+        rng = random.Random(num_sets * 100 + associativity)
+        cache = SetAssociativeCache(
+            num_sets=num_sets, associativity=associativity
+        )
+        span = num_sets * associativity * 3
+        resident = cache.resident
+        snapshots = [self._snapshot(cache)]
+        for step in range(400):
+            line_address = rng.randrange(span)
+            found = cache.lookup(line_address)
+            roll = rng.random()
+            if found is None:
+                cache.fill(line_address, rng.choice((M, E, S)), step)
+            elif roll < 0.3:
+                found[2].invalidate()
+            elif roll < 0.6:
+                # A state write through the found line (controller,
+                # snoop finalize, explorer downgrade), valid or not.
+                found[2].state = rng.choice((M, LineState.OWNED, E, S, I))
+            elif roll < 0.8:
+                snapshots.append(self._snapshot(cache))
+            else:
+                self._restore(cache, rng.choice(snapshots))
+            assert cache.resident is resident  # updated in place
+            self._check(cache, span)
+
+    def test_refill_of_resident_line_reuses_its_way(self):
+        cache = SetAssociativeCache(num_sets=4, associativity=2)
+        first = cache.fill(5, S, 1)
+        again = cache.fill(5, M, 2)
+        assert again is first
+        assert cache.occupancy() == 1
+        assert cache.lookup(5)[2].value == 2
+
+    def test_explorer_restores_keep_lookup_exact(self, monkeypatch):
+        """Drive the object model checker (1x1 caches, two aliasing
+        lines) and check every board's map after every restore."""
+        from repro.verify.explorer import Explorer
+
+        explorer = Explorer(["moesi", "illinois"], lines=2, max_states=400)
+        restore = Explorer._restore
+        checks = []
+
+        def checked_restore(self, snapshot):
+            restore(self, snapshot)
+            for board in self.system.controllers.values():
+                self_test._check(board.cache, 2)
+            checks.append(1)
+
+        self_test = self
+        monkeypatch.setattr(Explorer, "_restore", checked_restore)
+        explorer.run()
+        assert checks

@@ -240,3 +240,183 @@ class TestBookkeeping:
         bus.execute("m", 0, MasterSignals(ca=True), BusOp.READ)
         bus.execute("m", 0, MasterSignals(ca=True), BusOp.READ)
         assert trace[1][0].serial > trace[0][0].serial
+
+
+class TestHolderOnlySnooping:
+    """The bus snoops only caches holding a valid copy of the line.
+
+    A cache in state I answers nothing and keeps its state (Table 2's I
+    row), so skipping it must leave every transaction result, the bus
+    statistics and every board's end state equal to full fan-out -- a
+    reference bus that snoops every agent -- while a controller with no
+    valid copy never sees a ``snoop``, ``finalize`` or
+    ``transaction_aborted`` call."""
+
+    @staticmethod
+    def _run(protocols, full_fan_out, calls=None):
+        import random
+
+        from repro.system.system import BoardSpec, System
+
+        system = System(
+            [BoardSpec(f"cpu{i}", name, num_sets=4, associativity=2)
+             for i, name in enumerate(protocols)],
+        )
+        bus = system.bus
+        bus.trace = []
+        if full_fan_out:
+            def fan_out_all(master):
+                fanout = tuple(
+                    (agent, None) for agent in bus._agents.values()
+                    if agent.unit_id != master
+                )
+                bus._fanout[master] = fanout
+                return fanout
+
+            bus._fanout_for = fan_out_all
+        if calls is not None:
+            for board in system.controllers.values():
+                if board.resident is not None:
+                    _record_calls(board, calls)
+        rng = random.Random(11)
+        units = list(system.controllers)
+        for _ in range(1500):
+            unit = rng.choice(units)
+            address = rng.randrange(12) * 32
+            if rng.random() < 0.4:
+                system.write(unit, address)
+            else:
+                system.read(unit, address)
+        results = [
+            (txn.describe(), txn.event, result) for txn, result in bus.trace
+        ]
+        boards = {
+            unit: (sorted((a, s.letter, v) for a, s, v in board.cached_lines()),
+                   board.stats)
+            for unit, board in system.controllers.items()
+        }
+        return results, system.bus_stats.to_dict(), boards
+
+    @pytest.mark.parametrize(
+        "protocols",
+        [
+            ("illinois",) * 4,
+            ("moesi", "dragon", "write-through", "non-caching"),
+            ("firefly",) * 3,
+            ("moesi-random", "moesi-round-robin",
+             "moesi-adaptive-threshold", "moesi"),
+        ],
+    )
+    def test_results_equal_full_fan_out(self, protocols):
+        calls = []
+        filtered = self._run(protocols, full_fan_out=False, calls=calls)
+        reference = self._run(protocols, full_fan_out=True)
+        assert filtered == reference
+        # Every hook a controller saw came while it held a valid copy.
+        assert calls and all(held for *_, held in calls)
+        if protocols[0] in ("illinois", "firefly"):
+            # BS abort-push retries were exercised (and re-filtered).
+            assert sum(result.retries for _, _, result in filtered[0]) > 0
+
+    def test_retry_refilters_after_a_push_to_invalid(self):
+        """A pusher that lands in I holds no copy when the aborted
+        transaction restarts, so the retry must not snoop it."""
+        from repro.core.events import BusEvent
+        from repro.core.states import LineState
+        from repro.protocols.illinois import IllinoisProtocol, _abort_push
+        from repro.system.system import BoardSpec, System
+
+        class PushToInvalid(IllinoisProtocol):
+            snoop_transitions = {
+                **IllinoisProtocol.snoop_transitions,
+                (LineState.MODIFIED, BusEvent.CACHE_READ):
+                    _abort_push(LineState.INVALID),
+            }
+
+        system = System(
+            [BoardSpec(f"cpu{i}", PushToInvalid()) for i in range(3)]
+        )
+        system.bus.trace = []
+        calls = []
+        for board in system.controllers.values():
+            _record_calls(board, calls)
+        system.write("cpu0", 0)
+        system.read("cpu1", 0)
+        (_, read), = system.bus.trace[-1:]
+        assert read.retries == 1
+        assert system.controllers["cpu0"].state_of(0) is LineState.INVALID
+        assert calls and all(held for *_, held in calls)
+        snooped_cpu0 = [c for c in calls if c[0] == "cpu0"]
+        assert [method for _, method, _, _ in snooped_cpu0] == ["snoop"]
+
+    def test_hierarchy_bridges_see_every_transaction(self):
+        from repro.hierarchy.system import ClusterSpec, HierarchicalSystem
+
+        h = HierarchicalSystem(
+            [ClusterSpec("a", protocols=("moesi", "moesi")),
+             ClusterSpec("b", protocols=("moesi", "moesi"))]
+        )
+        seen = {name: [] for name in h.bridges}
+        mastered = {name: [] for name in h.bridges}
+        for name, bridge in h.bridges.items():
+            watcher = next(
+                agent for agent in bridge.local_bus.agents
+                if agent.unit_id.endswith(".watcher")
+            )
+            assert watcher.resident is None
+            snoop = watcher.snoop
+
+            def watch(txn, _snoop=snoop, _seen=seen[name]):
+                _seen.append(txn.serial)
+                return _snoop(txn)
+
+            watcher.snoop = watch
+            bridge.local_bus.observer = (
+                lambda txn, result, _m=mastered[name]: _m.append(txn)
+            )
+        for step in range(200):
+            unit = ("a.cpu0", "a.cpu1", "b.cpu0", "b.cpu1")[step % 4]
+            if step % 3:
+                h.read(unit, (step % 5) * 32)
+            else:
+                h.write(unit, (step % 5) * 32)
+        for name in h.bridges:
+            from_caches = {
+                txn.serial for txn in mastered[name]
+                if not txn.master.startswith("bridge.")
+            }
+            assert from_caches
+            assert from_caches <= set(seen[name])
+
+
+def _record_calls(board, calls):
+    """Wrap a controller's snooping hooks to log whether it held a valid
+    copy of the line when the bus called it."""
+    snooped = set()
+
+    def holds(address):
+        return board.cache.lookup(address) is not None
+
+    snoop = board.snoop
+    finalize = board.finalize
+    aborted = board.transaction_aborted
+
+    def snoop_hook(txn):
+        held = holds(txn.address)
+        snooped.add(txn.serial)
+        calls.append((board.unit_id, "snoop", txn.serial, held))
+        return snoop(txn)
+
+    def finalize_hook(txn, aggregate):
+        calls.append((board.unit_id, "finalize", txn.serial,
+                      txn.serial in snooped))
+        return finalize(txn, aggregate)
+
+    def aborted_hook(txn):
+        calls.append((board.unit_id, "transaction_aborted", txn.serial,
+                      txn.serial in snooped))
+        return aborted(txn)
+
+    board.snoop = snoop_hook
+    board.finalize = finalize_hook
+    board.transaction_aborted = aborted_hook

@@ -344,6 +344,46 @@ class TestSweepEntryPoints:
             assert all(row.pop("transitions_per_sec") >= 0 for row in rows)
             assert rows == golden, workers
 
+    def test_tables_published_only_for_a_fan_out(self, monkeypatch):
+        """The shared-memory tables segment serves pool workers only: a
+        one-protocol spec or a one-worker sweep never publishes it, a
+        multi-protocol sweep on several workers does (and unlinks it),
+        and the rows are the same either way."""
+        import repro.perf.shared as shared
+        from repro.perf.batch import batch_protocol_sweep
+
+        published = []
+        unlinked = []
+        publish = shared.publish_tables
+        unlink = shared.unlink_tables
+
+        def record_publish(specs):
+            name = publish(specs)
+            published.append(name)
+            return name
+
+        def record_unlink(name):
+            unlinked.append(name)
+            unlink(name)
+
+        monkeypatch.setattr(shared, "publish_tables", record_publish)
+        monkeypatch.setattr(shared, "unlink_tables", record_unlink)
+        kwargs = dict(rows=4, events_per_row=25, seed=3)
+        for protocols, workers in (
+            (("moesi",), None), (("moesi",), 2), (("moesi", "dragon"), 1),
+        ):
+            rows = batch_protocol_sweep(
+                protocols=protocols, workers=workers, **kwargs
+            )
+            assert published == [], (protocols, workers)
+        fanned = batch_protocol_sweep(
+            protocols=("moesi", "dragon"), workers=2, **kwargs
+        )
+        assert len(published) == 1 and unlinked == published
+        for row in rows + fanned:
+            row.pop("transitions_per_sec")
+        assert fanned == rows
+
     def test_api_facade(self):
         from repro.api import execute, plan
 

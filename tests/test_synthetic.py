@@ -128,3 +128,30 @@ class TestGeneration:
         assert set(streams) == {"cpu0", "cpu1"}
         op, address = next(streams["cpu0"])
         assert op in (Op.READ, Op.WRITE) and address >= 0
+
+    def test_records_behave_like_constructed_ones(self):
+        """Generated records are filled in without the dataclass
+        ``__init__``; they must be indistinguishable from records built
+        the ordinary way, the stream included."""
+        import dataclasses
+        import pickle
+
+        from repro.workloads.trace import ReferenceRecord
+
+        config = SyntheticConfig(processors=3)
+        workload = SyntheticWorkload(config, seed=9)
+        trace = workload.trace(60)
+        streams = [workload.stream(i) for i in range(3)]
+        for i, record in enumerate(trace):
+            op, address = next(streams[i % 3])
+            built = ReferenceRecord(f"cpu{i % 3}", op, address)
+            assert record == built and built == record
+            assert hash(record) == hash(built)
+            assert repr(record) == repr(built)
+            assert record.to_line() == built.to_line()
+            assert pickle.loads(pickle.dumps(record)) == built
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trace[0].address = 0
+        assert len(set(trace.records)) == len(set(
+            ReferenceRecord(r.unit, r.op, r.address) for r in trace
+        ))
