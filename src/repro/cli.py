@@ -371,7 +371,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(f"\nserve tier ({serve['references']} refs): miss "
               f"{serve['miss_s']:.4f}s, hit p50 {serve['hit_ns_p50']} ns "
               f"p99 {serve['hit_ns_p99']} ns ({serve['hit_speedup']}x at "
-              f"p50); cache hits {cache['hits']}, misses {cache['misses']}")
+              f"p50); loopback hit reply p50 {serve['hit_response_us_p50']} "
+              f"us p99 {serve['hit_response_us_p99']} us; cache hits "
+              f"{cache['hits']}, misses {cache['misses']}")
     serve_batch = report.get("serve_batch")
     if serve_batch is not None:
         print(f"serve batch ({serve_batch['requests']} compatible "

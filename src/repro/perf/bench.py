@@ -22,7 +22,10 @@ The suite is fixed so successive PRs can track the trajectory:
   cache hit/miss counters and the warm-pool dispatch stats recorded.
   The memo-hit latency percentiles (``hit_ns_p50``/``hit_ns_p99``)
   are gated against an absolute budget (:data:`MAX_SERVE_HIT_S`); the
-  miss side stays informational;
+  miss side stays informational, and so does the whole hit path of
+  an in-process daemon over one loopback connection
+  (``hit_response_us_p50``/``hit_response_us_p99``: line map, content
+  hash, memo lookup, encoded reply);
 * **serve_batch** -- continuous batching: a burst of compatible batch
   specs executed one at a time (the pre-batching serve path) and then
   as one coalesced population
@@ -394,6 +397,7 @@ def _bench_serve(quick: bool) -> dict:
     samples.sort()
     hit_ns_p50 = samples[len(samples) // 2]
     hit_ns_p99 = samples[(len(samples) * 99) // 100]
+    responses = _hit_response_ns(spec, payload)
     return {
         "references": references,
         "spec_hash": key,
@@ -403,9 +407,60 @@ def _bench_serve(quick: bool) -> dict:
         "hit_ns_p50": hit_ns_p50,
         "hit_ns_p99": hit_ns_p99,
         "hit_speedup": round(miss_s / (hit_ns_p50 * 1e-9), 1),
+        "hit_response_us_p50": round(
+            responses[len(responses) // 2] / 1e3, 2
+        ),
+        "hit_response_us_p99": round(
+            responses[(len(responses) * 99) // 100] / 1e3, 2
+        ),
         "cache": cache.stats(),
         "pool": pool_stats(),
     }
+
+
+def _hit_response_ns(spec, payload: dict) -> list:
+    """Sorted ns timings of an in-process daemon answering one repeated
+    execute line from its memo over one loopback connection: the line's
+    write, the line map, the content hash, the memo lookup, the entry's
+    encoded reply and its read."""
+    import asyncio
+
+    from repro.serve.server import ReproServer, ServeConfig
+
+    line = json.dumps(
+        {"command": "execute", "spec": spec.to_dict()}
+    ).encode("ascii") + b"\n"
+
+    async def answer_all() -> tuple:
+        server = ReproServer(ServeConfig(
+            batch_window_s=-1.0,
+            dispatcher=lambda canonical, deadline_s: payload,
+        ))
+        endpoints = await server.start()
+        reader, writer = await asyncio.open_connection(
+            endpoints["host"], endpoints["port"]
+        )
+        try:
+            # The miss memoizes the payload and the first hit encodes
+            # the entry's reply; neither is a steady-state hit.
+            for _ in range(2):
+                writer.write(line)
+                await reader.readline()
+            samples = []
+            for _ in range(SERVE_HIT_LOOKUPS):
+                start = time.perf_counter_ns()
+                writer.write(line)
+                reply = await reader.readline()
+                samples.append(time.perf_counter_ns() - start)
+        finally:
+            writer.close()
+            await writer.wait_closed()
+            await server.close()
+        return samples, reply
+
+    samples, reply = asyncio.run(answer_all())
+    assert json.loads(reply)["cached"] is True
+    return sorted(samples)
 
 
 def _bench_serve_batch(quick: bool) -> dict:
@@ -692,6 +747,10 @@ def regression_report(report: dict, baseline: dict) -> dict:
             "baseline_hit_ns_p50": baseline.get("serve", {}).get(
                 "hit_ns_p50"
             ),
+            # Report-only: the whole in-process hit path, ungated.
+            "baseline_hit_response_us_p50": baseline.get("serve", {}).get(
+                "hit_response_us_p50"
+            ),
         }
         for name in ("p50", "p99"):
             hit_s = serve[f"hit_ns_{name}"] * 1e-9
@@ -719,6 +778,9 @@ def regression_report(report: dict, baseline: dict) -> dict:
                 round(normalized_hit * 1e9)
                 if normalized_hit is not None
                 else None
+            )
+            serve_section[f"current_hit_response_us_{name}"] = serve.get(
+                f"hit_response_us_{name}"
             )
     return {
         "baseline_timestamp": baseline.get("timestamp"),

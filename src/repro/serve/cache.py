@@ -1,12 +1,15 @@
 """Content-addressed result memoization for the serve tier.
 
 Keys are spec content hashes (:meth:`repro.specs._SpecBase.content_hash`);
-values are the canonical JSON-safe result payloads of
-:func:`repro.serve.protocol.payload_for`.  Because a spec hash covers
-everything that can change the result -- and deliberately nothing that
-cannot (worker counts, backends) -- a hit is *correct by construction*,
-not a heuristic: the daemon returns the cached payload without
-dispatching a worker task.
+the daemon's values are :class:`MemoEntry` records: the canonical
+JSON-safe result payload of :func:`repro.serve.protocol.payload_for`
+plus its non-streamed ``cached: true`` response line, encoded once on
+the entry's first such hit.  Because a spec hash covers everything that
+can change the result -- and deliberately nothing that cannot (worker
+counts, backends) -- a hit is *correct by construction*, not a
+heuristic: the daemon writes the encoded line without dispatching a
+worker task or re-encoding the payload, and the line is dropped with
+its entry on eviction.
 
 The cache is a bounded LRU with hit/miss/eviction counters, surfaced
 through the serve ``status`` command and the ``serve`` section of
@@ -18,26 +21,39 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Optional
+from typing import Any, Optional
 
-__all__ = ["MemoCache"]
+__all__ = ["MemoCache", "MemoEntry"]
+
+
+class MemoEntry:
+    """One memoized result: its payload and the encoded bytes of its
+    non-streamed ``cached: true`` response (newline included), ``None``
+    until the first hit that writes them."""
+
+    __slots__ = ("payload", "hit_line")
+
+    def __init__(self, payload: dict) -> None:
+        self.payload = payload
+        self.hit_line: Optional[bytes] = None
 
 
 class MemoCache:
-    """A bounded, thread-safe LRU mapping spec hashes to result payloads."""
+    """A bounded, thread-safe LRU mapping spec hashes to memoized values
+    (result payloads, or the daemon's :class:`MemoEntry` records)."""
 
     def __init__(self, capacity: int = 128) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._entries: OrderedDict[str, dict] = OrderedDict()
+        self._entries: OrderedDict[str, Any] = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
 
-    def get(self, key: str) -> Optional[dict]:
-        """The cached payload for ``key``, refreshed to most-recent; None
+    def get(self, key: str) -> Optional[Any]:
+        """The cached value for ``key``, refreshed to most-recent; None
         on a miss.  Every call counts as exactly one hit or miss."""
         with self._lock:
             payload = self._entries.get(key)
@@ -48,7 +64,7 @@ class MemoCache:
             self._hits += 1
             return payload
 
-    def put(self, key: str, payload: dict) -> None:
+    def put(self, key: str, payload: Any) -> None:
         """Insert (or refresh) ``key``, evicting the least-recently-used
         entry beyond capacity."""
         with self._lock:

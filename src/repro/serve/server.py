@@ -8,12 +8,14 @@ newline-delimited JSON conversation; each ``execute`` request flows
     parse spec -> content hash -> cache? -> coalesce? -> admit? ->
     semaphore -> dispatch to the warm pool -> memoize -> respond
 
-with every early exit answering immediately: a cache hit returns the
-memoized payload without dispatching any worker task, a duplicate of an
-in-flight request awaits that computation instead of starting another,
-and a request beyond ``concurrency + max_pending`` is refused with
-``{"ok": false, "error": "busy", "retry_after": ...}`` -- bounded queue,
-never unbounded growth.
+with every early exit answering immediately: a cache hit writes the
+memo entry's reply, encoded once, without dispatching any worker task,
+a duplicate of an in-flight request awaits that computation instead of
+starting another, and a request beyond ``concurrency + max_pending`` is
+refused with ``{"ok": false, "error": "busy", "retry_after": ...}`` --
+bounded queue, never unbounded growth.  A request line whose exact
+bytes were parsed before skips the parse step: a line map, bounded by
+the memo's capacity, keeps the request parsed from them.
 
 Dispatch runs the blocking pool call on the loop's default thread-pool
 executor, so the event loop keeps serving status requests and cache
@@ -47,10 +49,11 @@ import asyncio
 import dataclasses
 import json
 import os
+from collections import OrderedDict
 from typing import Callable, Optional
 
 from repro.obs.stream import DEFAULT_FRAME_EVENTS, metrics_frame, trace_frames
-from repro.serve.cache import MemoCache
+from repro.serve.cache import MemoCache, MemoEntry
 from repro.serve.jobs import dispatch_job
 from repro.serve.protocol import response_envelope
 from repro.specs import canonical_json, spec_from_canonical, spec_from_dict
@@ -133,6 +136,9 @@ class ReproServer:
             "deadline_dropped": 0,
         }
         self.endpoints: dict = {}
+        #: Exact request-line bytes -> the parsed execute request
+        #: ``(spec, canonical, deadline, stream)``, least recent first.
+        self._lines: OrderedDict[bytes, tuple] = OrderedDict()
         #: hash -> Future resolving to ("ok", payload) | ("error", kind,
         #: detail).  Outcome tuples (not set_exception) so a computation
         #: nobody ends up awaiting never logs "exception never retrieved".
@@ -247,23 +253,8 @@ class ReproServer:
                 if not line:
                     break
                 line = line.strip()
-                if not line:
-                    continue
-                try:
-                    request = json.loads(line)
-                    if not isinstance(request, dict):
-                        raise ValueError("request must be a JSON object")
-                except ValueError as error:
-                    self.counters["errors"] += 1
-                    await self._write(
-                        writer,
-                        response_envelope(
-                            "?", False, error="bad-request",
-                            detail=f"unparseable request: {error}",
-                        ),
-                    )
-                    continue
-                await self._handle(request, writer)
+                if line:
+                    await self._serve_line(line, writer)
         except (ConnectionResetError, BrokenPipeError):
             pass
         except asyncio.CancelledError:
@@ -277,8 +268,34 @@ class ReproServer:
             except Exception:
                 pass
 
+    async def _serve_line(self, line: bytes, writer) -> None:
+        """Answer one request line.  An ``execute`` line whose exact
+        bytes were parsed before skips decoding and spec parsing: the
+        line map hands back the request parsed from them."""
+        execute = self._lines.get(line)
+        if execute is not None:
+            self._lines.move_to_end(line)
+            self.counters["requests"] += 1
+            await self._handle_execute(execute, writer)
+            return
+        try:
+            request = json.loads(line)
+            if not isinstance(request, dict):
+                raise ValueError("request must be a JSON object")
+        except ValueError as error:
+            self.counters["errors"] += 1
+            await self._write(
+                writer,
+                response_envelope(
+                    "?", False, error="bad-request",
+                    detail=f"unparseable request: {error}",
+                ),
+            )
+            return
+        await self._handle(request, writer, line)
+
     async def _write(self, writer, obj: dict) -> None:
-        writer.write(canonical_json(obj).encode("ascii") + b"\n")
+        writer.write(_encode(obj))
         await writer.drain()
 
     def _status_data(self) -> dict:
@@ -315,7 +332,7 @@ class ReproServer:
             },
         }
 
-    async def _handle(self, request: dict, writer) -> None:
+    async def _handle(self, request: dict, writer, line: bytes) -> None:
         command = request.get("command")
         self.counters["requests"] += 1
         if command == "status":
@@ -333,7 +350,24 @@ class ReproServer:
             self.request_stop()
             return
         if command == "execute":
-            await self._handle_execute(request, writer)
+            try:
+                execute = _parse_execute(request)
+            except (KeyError, ValueError, TypeError) as error:
+                self.counters["errors"] += 1
+                await self._write(
+                    writer,
+                    response_envelope(
+                        "execute", False, error="bad-request",
+                        detail=f"bad spec: {error}",
+                    ),
+                )
+                return
+            # Only lines that parsed go into the map; it holds at most
+            # as many lines as the memo holds results.
+            self._lines[line] = execute
+            if len(self._lines) > self.cache.capacity:
+                self._lines.popitem(last=False)
+            await self._handle_execute(execute, writer)
             return
         self.counters["errors"] += 1
         await self._write(
@@ -347,35 +381,27 @@ class ReproServer:
     # ------------------------------------------------------------------
     # The execute flow.
     # ------------------------------------------------------------------
-    async def _handle_execute(self, request: dict, writer) -> None:
-        try:
-            raw = request["spec"]
-            spec = (
-                spec_from_canonical(raw)
-                if isinstance(raw, str)
-                else spec_from_dict(raw)
-            )
-            canonical = spec.canonical()
-            key = spec.content_hash()
-        except (KeyError, ValueError, TypeError) as error:
-            self.counters["errors"] += 1
-            await self._write(
-                writer,
-                response_envelope(
-                    "execute", False, error="bad-request",
-                    detail=f"bad spec: {error}",
-                ),
-            )
-            return
-        deadline = request.get("deadline")
-        stream = bool(request.get("stream"))
-
-        payload = self.cache.get(key)
-        if payload is not None:
-            await self._respond(
-                writer, key, payload, cached=True, coalesced=False,
-                stream=stream,
-            )
+    async def _handle_execute(self, execute: tuple, writer) -> None:
+        spec, canonical, deadline, stream = execute
+        # One hash (a cached attribute after the first) and one memo
+        # lookup per request, whether or not the line was mapped.
+        key = spec.content_hash()
+        memo = self.cache.get(key)
+        if memo is not None:
+            if stream and _has_frames(memo.payload):
+                await self._respond(
+                    writer, key, memo.payload, cached=True,
+                    coalesced=False, stream=True,
+                )
+                return
+            # Any other hit writes the entry's reply, encoded on its
+            # first such hit.
+            if memo.hit_line is None:
+                memo.hit_line = _ok_line(
+                    key, memo.payload, cached=True, coalesced=False
+                )
+            writer.write(memo.hit_line)
+            await writer.drain()
             return
 
         inflight = self._inflight.get(key)
@@ -446,7 +472,7 @@ class ReproServer:
                     f"{type(error).__name__}: {error}",
                 )
         self.counters["executed"] += 1
-        self.cache.put(key, payload)
+        self.cache.put(key, MemoEntry(payload))
         return ("ok", payload)
 
     # ------------------------------------------------------------------
@@ -574,7 +600,7 @@ class ReproServer:
             return
         for entry, payload in zip(live, payloads):
             self.counters["executed"] += 1
-            self.cache.put(entry["key"], payload)
+            self.cache.put(entry["key"], MemoEntry(payload))
             entry["future"].set_result((("ok", payload), extras))
 
     async def _respond_outcome(
@@ -601,11 +627,12 @@ class ReproServer:
         self, writer, key: str, payload: dict, *, cached: bool,
         coalesced: bool, stream: bool, extras: Optional[dict] = None,
     ) -> None:
+        """Answer an ``ok`` execute: as frames when streaming has
+        something to stream, otherwise as one line."""
         extras = extras or {}
-        trace = payload.get("trace")
-        metrics = payload.get("metrics")
-        if stream and (trace is not None or metrics is not None):
-            frame = dict(metrics_frame(metrics))
+        if stream and _has_frames(payload):
+            trace = payload.get("trace")
+            frame = dict(metrics_frame(payload.get("metrics")))
             frame.update(command="execute.frame", hash=key)
             await self._write(writer, frame)
             for chunk in trace_frames(
@@ -622,14 +649,47 @@ class ReproServer:
                 ),
             )
             return
-        await self._write(
-            writer,
-            response_envelope(
-                "execute", True, data=payload["data"], metrics=metrics,
-                hash=key, cached=cached, coalesced=coalesced,
-                streamed=False, trace=trace, **extras,
-            ),
-        )
+        writer.write(_ok_line(
+            key, payload, cached=cached, coalesced=coalesced, **extras
+        ))
+        await writer.drain()
+
+
+def _has_frames(payload: dict) -> bool:
+    """Whether a streamed answer to ``payload`` has frames to send."""
+    return (
+        payload.get("trace") is not None
+        or payload.get("metrics") is not None
+    )
+
+
+def _encode(obj: dict) -> bytes:
+    """One NDJSON response line."""
+    return canonical_json(obj).encode("ascii") + b"\n"
+
+
+def _ok_line(key: str, payload: dict, **annotations) -> bytes:
+    """The encoded non-streamed ``ok`` response to an execute."""
+    return _encode(response_envelope(
+        "execute", True, data=payload["data"],
+        metrics=payload.get("metrics"), hash=key, streamed=False,
+        trace=payload.get("trace"), **annotations,
+    ))
+
+
+def _parse_execute(request: dict) -> tuple:
+    """``(spec, canonical, deadline, stream)`` of an execute request;
+    raises ``KeyError``/``ValueError``/``TypeError`` on a bad spec."""
+    raw = request["spec"]
+    spec = (
+        spec_from_canonical(raw)
+        if isinstance(raw, str)
+        else spec_from_dict(raw)
+    )
+    return (
+        spec, spec.canonical(), request.get("deadline"),
+        bool(request.get("stream")),
+    )
 
 
 async def run_server(

@@ -160,7 +160,9 @@ class SyntheticWorkload:
             fields["op"] = op
             fields["address"] = address
             append(record)
-        return Trace(records)
+        # Round-robin: the first min(references, processors) units each
+        # appear in unit order.
+        return Trace(records, unit_ids[:len(records)])
 
     def streams(self) -> dict[str, Iterator[tuple[Op, int]]]:
         """Per-unit infinite streams for the timed runner."""

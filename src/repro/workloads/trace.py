@@ -19,7 +19,7 @@ import enum
 import io
 import operator
 from pathlib import Path
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
 __all__ = ["Op", "ReferenceRecord", "Trace"]
 
@@ -64,13 +64,26 @@ class ReferenceRecord:
 
 
 class Trace:
-    """An ordered sequence of references, with simple introspection."""
+    """An ordered sequence of references, with simple introspection.
 
-    def __init__(self, records: Iterable[ReferenceRecord] = ()) -> None:
+    The distinct units are kept in first-appearance order as records
+    arrive, so :meth:`units` never scans.  A producer that already
+    knows that order passes it as ``units``."""
+
+    def __init__(
+        self,
+        records: Iterable[ReferenceRecord] = (),
+        units: Optional[Iterable[str]] = None,
+    ) -> None:
         self.records: list[ReferenceRecord] = list(records)
+        self._units = dict.fromkeys(
+            map(_UNIT, self.records) if units is None else units
+        )
 
     def append(self, record: ReferenceRecord) -> None:
         self.records.append(record)
+        if record.unit not in self._units:
+            self._units[record.unit] = None
 
     def __iter__(self) -> Iterator[ReferenceRecord]:
         return iter(self.records)
@@ -84,7 +97,7 @@ class Trace:
     # ------------------------------------------------------------------
     def units(self) -> list[str]:
         """Distinct units in first-appearance order."""
-        return list(dict.fromkeys(map(_UNIT, self.records)))
+        return list(self._units)
 
     def write_fraction(self) -> float:
         if not self.records:

@@ -100,6 +100,42 @@ class TestServeGate:
         report = regression_report(slow, BASELINE)
         assert not report["ok"]
 
+    def test_hit_response_is_reported_not_gated(self):
+        current = _report()
+        current["serve"]["hit_response_us_p50"] = 3.0
+        # Far over the memo-hit budget, yet report-only.
+        current["serve"]["hit_response_us_p99"] = MAX_SERVE_HIT_S * 1e7
+        report = regression_report(current, BASELINE)
+        assert report["ok"], report["failures"]
+        assert report["serve"]["current_hit_response_us_p50"] == 3.0
+        assert report["serve"]["current_hit_response_us_p99"] == (
+            MAX_SERVE_HIT_S * 1e7
+        )
+        assert report["serve"]["baseline_hit_response_us_p50"] is None
+
+    def test_committed_baseline_without_hit_response_accepted(self):
+        from pathlib import Path
+
+        from repro.perf.bench import BENCH_FILENAME, load_baseline
+
+        root = Path(__file__).resolve().parent.parent
+        baseline = load_baseline(str(root / BENCH_FILENAME))
+        # A baseline from before the fields existed, whatever the
+        # committed file holds now.
+        serve = dict(baseline["serve"])
+        serve.pop("hit_response_us_p50", None)
+        serve.pop("hit_response_us_p99", None)
+        baseline = dict(baseline, serve=serve)
+        current = _report()
+        current["serve"]["hit_response_us_p50"] = 3.0
+        current["serve"]["hit_response_us_p99"] = 4.0
+        report = regression_report(current, baseline)
+        assert report["serve"]["baseline_hit_response_us_p50"] is None
+        assert report["serve"]["current_hit_response_us_p99"] == 4.0
+        # A report from before the field existed reads as None.
+        older = regression_report(_report(), baseline)
+        assert older["serve"]["current_hit_response_us_p50"] is None
+
     def test_report_without_serve_section_skips_gate(self):
         current = _report()
         del current["serve"]
@@ -183,6 +219,8 @@ class TestServeHitSection:
         p50, p99 = serve["hit_ns_p50"], serve["hit_ns_p99"]
         assert isinstance(p50, int) and isinstance(p99, int)
         assert 0 < p50 <= p99
+        response_p50 = serve["hit_response_us_p50"]
+        assert 0 < response_p50 <= serve["hit_response_us_p99"]
         # miss_s is reported rounded; the speedup uses the exact miss.
         assert serve["hit_speedup"] == pytest.approx(
             serve["miss_s"] / (p50 * 1e-9), rel=0.02

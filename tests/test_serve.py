@@ -12,6 +12,7 @@ the byte-identity test uses the production job body
 
 import asyncio
 import json
+import socket
 import threading
 import time
 
@@ -22,7 +23,7 @@ from repro.obs.stream import metrics_frame, reassemble_trace, trace_frames
 from repro.perf.pool import ParallelTimeoutError
 from repro.serve import MemoCache, ReproServer, ServeClient, ServeConfig
 from repro.serve.jobs import execute_payload
-from repro.serve.protocol import payload_for
+from repro.serve.protocol import payload_for, response_envelope
 from repro.specs import canonical_json
 
 
@@ -366,3 +367,171 @@ class TestDaemon:
         assert "pool_starts" in status["pool"]
         assert "dispatches" in status["pool"]
         assert status["concurrency"] == 2
+
+
+# ----------------------------------------------------------------------
+# The hit path: line map and per-entry encoded replies.
+# ----------------------------------------------------------------------
+def raw_exchange(port: int, line: bytes) -> list:
+    """Send one raw request line; every reply line up to and including
+    the final (non-frame) one, as bytes."""
+    replies = []
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(line + b"\n")
+        with sock.makefile("rb") as stream:
+            for reply in stream:
+                replies.append(reply)
+                if not json.loads(reply).get("frame"):
+                    return replies
+    raise ConnectionError("daemon closed before a final response")
+
+
+def execute_line(spec, pad: int = 0, **fields) -> bytes:
+    """An execute request line; ``pad`` spaces after the opening brace
+    give the same request distinct bytes, so it misses the line map."""
+    body = json.dumps({"command": "execute", "spec": spec.to_dict(),
+                       **fields})
+    return ("{" + " " * pad + body[1:]).encode("ascii")
+
+
+def expected_ok_line(spec, **annotations) -> bytes:
+    """What the daemon encodes for a non-streamed ok execute reply."""
+    payload = execute_payload(spec.canonical())
+    return canonical_json(response_envelope(
+        "execute", True, data=payload["data"], metrics=payload["metrics"],
+        hash=spec.content_hash(), streamed=False, trace=payload["trace"],
+        **annotations,
+    )).encode("ascii") + b"\n"
+
+
+class TestHitPath:
+    def test_repeated_line_replies_are_the_encoded_hit(self):
+        line = execute_line(SPEC)
+        with Daemon(dispatcher=counting_dispatcher([])) as daemon:
+            port = daemon.server.endpoints["port"]
+            miss, first, second, third = (
+                raw_exchange(port, line) for _ in range(4)
+            )
+            # The same request under other bytes takes the parse path.
+            parsed = raw_exchange(port, execute_line(SPEC, pad=1))
+        assert miss == [expected_ok_line(SPEC, cached=False,
+                                         coalesced=False)]
+        hit = expected_ok_line(SPEC, cached=True, coalesced=False)
+        assert first == second == third == parsed == [hit]
+
+    def test_stream_and_deadline_hits_unchanged(self):
+        spec = plan("experiment", protocol="moesi", references=150, seed=4,
+                    trace=True)
+        with Daemon(dispatcher=counting_dispatcher([]),
+                    stream_chunk=16) as daemon:
+            port = daemon.server.endpoints["port"]
+            raw_exchange(port, execute_line(spec))
+            replies = {}
+            for name, fields in (("stream", {"stream": True}),
+                                 ("deadline", {"deadline": 0.001})):
+                mapped = execute_line(spec, **fields)
+                replies[name] = [
+                    raw_exchange(port, mapped),
+                    raw_exchange(port, mapped),
+                    raw_exchange(port, execute_line(spec, pad=1, **fields)),
+                ]
+        stream = replies["stream"]
+        assert stream[0] == stream[1] == stream[2]
+        assert len(stream[0]) > 2  # metrics frame, trace frames, envelope
+        final = json.loads(stream[0][-1])
+        assert final["streamed"] and final["cached"]
+        deadline = replies["deadline"]
+        hit = expected_ok_line(spec, cached=True, coalesced=False)
+        assert deadline == [[hit]] * 3
+
+    def test_evicted_key_recomputes_on_a_mapped_line(self):
+        dispatched = []
+        line = execute_line(SPEC)
+        with Daemon(dispatcher=counting_dispatcher(dispatched),
+                    cache_size=2) as daemon:
+            port = daemon.server.endpoints["port"]
+            raw_exchange(port, line)
+            assert json.loads(raw_exchange(port, line)[0])["cached"]
+            daemon.server.cache.clear()
+            assert line in daemon.server._lines
+            again = json.loads(raw_exchange(port, line)[0])
+            hit = json.loads(raw_exchange(port, line)[0])
+            # Natural LRU eviction: two other specs push SPEC out.
+            for seed in (8, 9):
+                other = plan("experiment", protocol="moesi",
+                             references=150, seed=seed)
+                raw_exchange(port, execute_line(other))
+            evicted = json.loads(raw_exchange(port, line)[0])
+        assert not again["cached"] and hit["cached"]
+        assert not evicted["cached"]
+        assert len(dispatched) == 5
+
+    def test_bad_lines_never_mapped(self):
+        from repro.workloads import ping_pong
+
+        literal = plan("experiment",
+                       workload=ping_pong(rounds=1, processors=2)).to_dict()
+        literal["workload"]["records"].append(["cpu0", "X", 16])
+        bad = [
+            b"{not json",
+            b"[1, 2]",
+            b'{"command": "execute"}',
+            b'{"command": "execute", "spec": {"kind": "nonesuch"}}',
+            b'{"command": "execute", "spec": "{broken"}',
+            json.dumps({"command": "execute", "spec": literal}).encode(),
+            b'{"command": "frobnicate"}',
+        ]
+        dispatched = []
+        with Daemon(dispatcher=counting_dispatcher(dispatched)) as daemon:
+            port = daemon.server.endpoints["port"]
+            replies = [
+                [raw_exchange(port, line) for line in bad] for _ in range(2)
+            ]
+            mapped = dict(daemon.server._lines)
+            status = daemon.client().status()["data"]
+        assert replies[0] == replies[1]
+        assert all(not json.loads(r[0])["ok"] for r in replies[0])
+        assert mapped == {}
+        assert dispatched == []
+        assert status["counters"]["errors"] == 2 * len(bad)
+
+    def test_map_bounded_by_memo_capacity(self):
+        def cheap(canonical, deadline_s):
+            return {"data": {"canonical": canonical}, "metrics": None,
+                    "trace": None}
+
+        with Daemon(dispatcher=cheap, cache_size=3) as daemon:
+            port = daemon.server.endpoints["port"]
+            sizes = []
+            for seed in range(10):
+                spec = plan("experiment", references=10, seed=seed)
+                raw_exchange(port, execute_line(spec))
+                sizes.append(len(daemon.server._lines))
+        assert max(sizes) == 3
+        assert sizes[-1] == 3
+
+    def test_counters_match_the_parse_path(self):
+        other = plan("experiment", protocol="dragon", references=150, seed=2)
+        sequence = [SPEC, SPEC, other, SPEC, other, other, SPEC]
+        results = []
+        for distinct_bytes in (False, True):
+            with Daemon(dispatcher=counting_dispatcher([])) as daemon:
+                port = daemon.server.endpoints["port"]
+                replies = [
+                    raw_exchange(port, execute_line(
+                        spec, pad=index if distinct_bytes else 0
+                    ))
+                    for index, spec in enumerate(sequence)
+                ]
+                replies.append(raw_exchange(port, b"{bad"))
+                status = daemon.client().status()["data"]
+            results.append((replies, status["counters"],
+                            status["cache"]))
+        (mapped, mapped_counters, mapped_cache), \
+            (parsed, parsed_counters, parsed_cache) = results
+        assert mapped == parsed
+        assert mapped_counters == parsed_counters
+        assert mapped_cache == parsed_cache
+        assert mapped_counters["requests"] == len(sequence) + 1
+        assert mapped_counters["executed"] == 2
+        assert (mapped_cache["hits"], mapped_cache["misses"]) == (5, 2)

@@ -74,6 +74,15 @@ class TestGeneration:
         units = [r.unit for r in trace]
         assert units == ["cpu0", "cpu1", "cpu2"] * 3
 
+    @pytest.mark.parametrize("references", [0, 1, 2, 3, 50])
+    def test_units_match_a_scan(self, references):
+        trace = SyntheticWorkload(SyntheticConfig(processors=3)).trace(
+            references
+        )
+        assert trace.units() == list(
+            dict.fromkeys(r.unit for r in trace.records)
+        )
+
     def test_write_fraction_approximates_p_write(self):
         config = SyntheticConfig(p_write=0.3)
         trace = SyntheticWorkload(config, seed=0).trace(6000)

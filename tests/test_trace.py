@@ -38,6 +38,28 @@ class TestTrace:
         )
         assert trace.units() == ["b", "a"]
 
+    def test_units_follow_appends(self):
+        trace = Trace([ReferenceRecord("b", Op.READ, 0)])
+        for unit in ("a", "b", "c", "a"):
+            trace.append(ReferenceRecord(unit, Op.READ, 0))
+            expected = list(dict.fromkeys(r.unit for r in trace.records))
+            assert trace.units() == expected
+        assert trace.units() == ["b", "a", "c"]
+        # units() hands out a copy: the caller cannot corrupt the order.
+        trace.units().append("z")
+        assert trace.units() == ["b", "a", "c"]
+
+    def test_literal_workload_units_match_a_scan(self):
+        from repro.specs import WorkloadSpec
+
+        records = [ReferenceRecord(u, Op.READ, 0) for u in "cacbd"]
+        spec = WorkloadSpec.literal(Trace(records))
+        first, second = spec.build(), spec.build()
+        assert first.units() == second.units() == ["c", "a", "b", "d"]
+        second.append(ReferenceRecord("e", Op.READ, 0))
+        assert second.units()[-1] == "e"
+        assert spec.build().units() == ["c", "a", "b", "d"]
+
     def test_write_fraction(self):
         trace = Trace(
             [
