@@ -42,6 +42,9 @@ from repro.core.signals import MasterSignals, ResponseAggregate, SnoopResponse
 
 __all__ = ["BusAgent", "MemoryPort", "BusLivelockError", "Futurebus"]
 
+#: The wired-OR of no responses at all.
+_QUIET = ResponseAggregate.of(())
+
 
 class BusLivelockError(RuntimeError):
     """A transaction was aborted more times than the retry bound allows.
@@ -214,6 +217,10 @@ class Futurebus:
                         continue
                 snoopers.append(agent)
                 responses.append(agent.snoop(txn))
+            if not responses:
+                # Most transactions find no other holder of the line.
+                aggregate = _QUIET
+                break
             aggregate = ResponseAggregate.of(responses)
 
             if aggregate.bs:
@@ -240,19 +247,14 @@ class Futurebus:
             txn, snoopers, responses, aggregate
         )
         duration += self.timing.transaction_ns(
-            txn.op,
-            txn.signals,
+            op,
+            signals,
             intervened=aggregate.di,
             words=words,
             connectors=len(connectors),
         )
         result = TransactionResult(
-            aggregate=aggregate,
-            value=value,
-            supplier=supplier,
-            retries=txn.retries,
-            connectors=connectors,
-            duration_ns=duration,
+            aggregate, value, supplier, txn.retries, connectors, duration
         )
         self.busy_ns += duration
         if self.stats is not None:
@@ -274,54 +276,62 @@ class Futurebus:
         """Move the data; returns ``(value, supplier, connectors)``.
 
         ``execute`` folds these into the single final
-        :class:`TransactionResult` once the duration is known."""
+        :class:`TransactionResult` once the duration is known.  The
+        aggregate says whether any response carries DI or SL, so the
+        responders are only sorted out when one does."""
         supplier: Optional[str] = None
         value: Optional[int] = txn.value
-        connectors: list[str] = []
+        connectors: tuple[str, ...] = ()
 
-        di_agents: list[BusAgent] = []
-        sl_agents: list[BusAgent] = []
-        for agent, response in zip(snoopers, responses):
-            if response.di:
-                di_agents.append(agent)
-            if response.sl:
-                sl_agents.append(agent)
+        owner: Optional[BusAgent] = None
+        if aggregate.di:
+            di_agents = [
+                agent
+                for agent, response in zip(snoopers, responses)
+                if response.di
+            ]
+            if len(di_agents) > 1:
+                names = ", ".join(a.unit_id for a in di_agents)
+                raise RuntimeError(
+                    f"{txn.describe()}: multiple intervenient responders "
+                    f"({names}) -- single-owner invariant broken on the bus"
+                )
+            owner = di_agents[0]
 
-        if len(di_agents) > 1:
-            names = ", ".join(a.unit_id for a in di_agents)
-            raise RuntimeError(
-                f"{txn.describe()}: multiple intervenient responders ({names}) "
-                "-- single-owner invariant broken on the bus"
-            )
-
-        if txn.op is BusOp.READ:
-            if di_agents:
-                supplier = di_agents[0].unit_id
-                value = di_agents[0].supply_data(txn)
+        op = txn.op
+        if op is BusOp.READ:
+            if owner is not None:
+                supplier = owner.unit_id
+                value = owner.supply_data(txn)
             else:
                 supplier = "memory"
                 value = self.memory.read(txn.address)
             txn.value = value
-        elif txn.op is BusOp.WRITE:
+        elif op is BusOp.WRITE:
             if value is None:
                 raise ValueError(f"{txn.describe()}: write without data")
-            broadcast = txn.signals.bc
-            if broadcast or sl_agents:
+            if txn.signals.bc or aggregate.sl:
                 # Multi-party transfer: memory and every connector update.
                 self.memory.write(txn.address, value)
-                for agent in sl_agents:
-                    agent.connect_update(txn)
-                    connectors.append(agent.unit_id)
-                if di_agents:
+                if aggregate.sl:
+                    sl_agents = [
+                        agent
+                        for agent, response in zip(snoopers, responses)
+                        if response.sl
+                    ]
+                    for agent in sl_agents:
+                        agent.connect_update(txn)
+                    connectors = tuple([a.unit_id for a in sl_agents])
+                if owner is not None:
                     # An owner responding DI to a broadcast is a protocol
                     # bug; owners connect via SL on broadcasts.
                     raise RuntimeError(
                         f"{txn.describe()}: DI asserted on broadcast write"
                     )
-            elif di_agents:
+            elif owner is not None:
                 # The owner captures; memory is deliberately not updated.
-                di_agents[0].capture_write(txn)
-                supplier = di_agents[0].unit_id
+                owner.capture_write(txn)
+                supplier = owner.unit_id
             else:
                 self.memory.write(txn.address, value)
         # BusOp.NONE: address-only (invalidate); no data moves.
@@ -329,8 +339,4 @@ class Futurebus:
         for agent in snoopers:
             agent.finalize(txn, aggregate)
 
-        return (
-            value if txn.op is BusOp.READ else None,
-            supplier,
-            tuple(connectors),
-        )
+        return (value if op is BusOp.READ else None, supplier, connectors)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.core.actions import BusOp
 from repro.core.events import BusEvent
@@ -66,9 +66,12 @@ class Transaction:
         return self.describe()
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class TransactionResult:
-    """Outcome of a completed (possibly retried) transaction."""
+class TransactionResult(NamedTuple):
+    """Outcome of a completed (possibly retried) transaction.
+
+    An immutable named tuple: the bus builds one per transaction, and a
+    frozen dataclass would pay a Python ``__init__`` and one
+    ``object.__setattr__`` per field for it."""
 
     aggregate: ResponseAggregate
     #: Data returned to the master on reads (None for writes/addr-only).

@@ -65,9 +65,8 @@ class _OrderedPolicy(ReplacementPolicy):
 
     def __init__(self, num_sets: int, associativity: int) -> None:
         super().__init__(num_sets, associativity)
-        self._order: list[list[int]] = [
-            list(range(associativity)) for _ in range(num_sets)
-        ]
+        ways = list(range(associativity))
+        self._order: list[list[int]] = [ways[:] for _ in range(num_sets)]
 
     def _move_to_front(self, set_index: int, way: int) -> None:
         order = self._order[set_index]

@@ -374,6 +374,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
               f"p50); loopback hit reply p50 {serve['hit_response_us_p50']} "
               f"us p99 {serve['hit_response_us_p99']} us; cache hits "
               f"{cache['hits']}, misses {cache['misses']}")
+    experiment = report.get("experiment")
+    if experiment is not None:
+        print(f"experiment miss ({experiment['references']} refs, checked, "
+              f"{len(experiment['protocols'])} protocols x "
+              f"{experiment['seeds']} seeds): p50 {experiment['p50_ms']} ms "
+              f"p99 {experiment['p99_ms']} ms on "
+              f"{experiment['host']['cpu_count']} cpus (reported, not gated)")
     serve_batch = report.get("serve_batch")
     if serve_batch is not None:
         print(f"serve batch ({serve_batch['requests']} compatible "

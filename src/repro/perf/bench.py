@@ -26,6 +26,11 @@ The suite is fixed so successive PRs can track the trajectory:
   an in-process daemon over one loopback connection
   (``hit_response_us_p50``/``hit_response_us_p99``: line map, content
   hash, memo lookup, encoded reply);
+* **experiment** -- the experiment miss: checked 1000-reference runs
+  (:func:`repro.serve.jobs.execute_payload`, the job a ``repro serve``
+  cache miss runs) cycling four protocols over a few seeds, reported
+  as ``p50_ms``/``p99_ms`` with the host they ran on; informational,
+  never gated;
 * **serve_batch** -- continuous batching: a burst of compatible batch
   specs executed one at a time (the pre-batching serve path) and then
   as one coalesced population
@@ -94,6 +99,10 @@ SERVE_HIT_LOOKUPS = 2000
 #: coalescing buys vectorization width on top of amortized fixed costs;
 #: the scalar interpreter does the same per-event work either way.
 MIN_SERVE_BATCH_SPEEDUP = 5.0
+
+#: The experiment section's miss: protocols cycled, references per run.
+EXPERIMENT_PROTOCOLS = ("moesi", "berkeley", "dragon", "illinois")
+EXPERIMENT_REFERENCES = 1000
 
 #: Explorer mixes timed by the hot-path section: (label, specs, lines).
 EXPLORER_MIXES = (
@@ -463,6 +472,48 @@ def _hit_response_ns(spec, payload: dict) -> list:
     return sorted(samples)
 
 
+def _bench_experiment(quick: bool) -> dict:
+    """Experiment-miss latency: the job body of a ``repro serve`` cache
+    miss, one checked 1000-reference run per spec, timed one by one
+    over :data:`EXPERIMENT_PROTOCOLS` x a few seeds.  Informational: a
+    miss is tens of milliseconds of object-engine time, so its
+    percentiles say more about the host than a budget could."""
+    from repro.serve.jobs import execute_payload
+    from repro.specs import ExperimentSpec, WorkloadSpec
+
+    seeds = 3 if quick else 10
+    canonicals = [
+        ExperimentSpec(
+            protocol=protocol,
+            workload=WorkloadSpec(seed=seed, references=EXPERIMENT_REFERENCES),
+        ).canonical()
+        for seed in range(seeds)
+        for protocol in EXPERIMENT_PROTOCOLS
+    ]
+    # Imports and per-process table builds are not a miss's cost.
+    execute_payload(canonicals[0])
+    samples = []
+    for canonical in canonicals:
+        start = time.perf_counter_ns()
+        execute_payload(canonical)
+        samples.append(time.perf_counter_ns() - start)
+    samples.sort()
+    return {
+        "references": EXPERIMENT_REFERENCES,
+        "protocols": list(EXPERIMENT_PROTOCOLS),
+        "seeds": seeds,
+        "runs": len(samples),
+        "p50_ms": round(samples[len(samples) // 2] / 1e6, 3),
+        "p99_ms": round(samples[(len(samples) * 99) // 100] / 1e6, 3),
+        "host": {
+            "cpu_count": os.cpu_count(),
+            "machine": platform.machine(),
+            "python": platform.python_version(),
+            "system": platform.system(),
+        },
+    }
+
+
 def _bench_serve_batch(quick: bool) -> dict:
     """Continuous-batching throughput: one compatible burst dispatched
     one spec at a time (the scalar serve path) and then as a single
@@ -544,7 +595,8 @@ def regression_report(report: dict, baseline: dict) -> dict:
     (absolute budgets, so they hold even when the baseline itself was
     over), and the serve tier's memo-hit p50 and p99 latencies against
     :data:`MAX_SERVE_HIT_S` (absolute, host-discounted the same way as
-    the throughput gates).
+    the throughput gates).  The experiment-miss percentiles are
+    reported next to the baseline's p50 and never gated.
     """
     failures: list[str] = []
     explorer_rows = []
@@ -782,6 +834,15 @@ def regression_report(report: dict, baseline: dict) -> dict:
             serve_section[f"current_hit_response_us_{name}"] = serve.get(
                 f"hit_response_us_{name}"
             )
+    experiment = report.get("experiment")
+    experiment_section = None
+    if experiment is not None:
+        # Report-only: no budget, so no failure can come from here.
+        experiment_section = {
+            "baseline_p50_ms": baseline.get("experiment", {}).get("p50_ms"),
+            "current_p50_ms": experiment.get("p50_ms"),
+            "current_p99_ms": experiment.get("p99_ms"),
+        }
     return {
         "baseline_timestamp": baseline.get("timestamp"),
         "explorer": explorer_rows,
@@ -798,6 +859,7 @@ def regression_report(report: dict, baseline: dict) -> dict:
         },
         "batch": batch_section,
         "serve": serve_section,
+        "experiment": experiment_section,
         "serve_batch": serve_batch_section,
         "budgets": {
             "min_tps_ratio": MIN_TPS_RATIO,
@@ -843,6 +905,7 @@ def run_bench_suite(
         "obs": _bench_obs(quick),
         "batch": _bench_batch(quick),
         "serve": _bench_serve(quick),
+        "experiment": _bench_experiment(quick),
         "serve_batch": _bench_serve_batch(quick),
     }
     if baseline is not None:

@@ -77,8 +77,17 @@ class _SpecBase:
         raise NotImplementedError
 
     def canonical(self) -> str:
-        """The canonical spec string (deterministic bytes)."""
-        return canonical_json(self.to_dict())
+        """The canonical spec string (deterministic bytes).
+
+        Computed lazily once and cached on the (frozen) instance, like
+        :meth:`content_hash`'s digest: the serve tier canonicalizes a
+        first-seen request and then hashes it, and the string never
+        changes after construction."""
+        cached = self.__dict__.get("_canonical")
+        if cached is None:
+            cached = canonical_json(self.to_dict())
+            object.__setattr__(self, "_canonical", cached)
+        return cached
 
     def content_hash(self) -> str:
         """sha256 hex digest of :meth:`canonical` -- the memoization key.
@@ -86,8 +95,8 @@ class _SpecBase:
         Computed lazily once and cached on the (frozen) instance: the
         serve tier hashes every request on its admission hot path, and
         a spec's canonical string never changes after construction.
-        The cache rides in ``__dict__`` (specs are not slotted), so it
-        survives pickling harmlessly and never participates in
+        The caches ride in ``__dict__`` (specs are not slotted), so they
+        survive pickling harmlessly and never participate in
         ``__eq__``/``to_dict``."""
         cached = self.__dict__.get("_content_hash")
         if cached is None:

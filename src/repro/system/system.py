@@ -256,9 +256,15 @@ class System:
         if line_addresses is None:
             known: set[int] = set(self._last_version)
             known.update(self.memory.addresses())
-            for board in self.controllers.values():
-                for line_address, _, _ in board.cached_lines():
-                    known.add(line_address)
+            # Every valid copy has its resident-map entry (a non-caching
+            # master holds none), so the maps stand in for a sweep of
+            # every way of every cache.
+            for resident in self._residents:
+                known.update([
+                    line_address
+                    for line_address, slot in resident.items()
+                    if slot[2].state.valid
+                ])
             line_addresses = sorted(known)
         violations: list[InvariantViolation] = []
         for line_address in line_addresses:

@@ -25,11 +25,15 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+from bisect import bisect_right
 from typing import Iterator, Optional
 
 from repro.workloads.trace import Op, ReferenceRecord, Trace
 
 __all__ = ["SyntheticConfig", "SyntheticWorkload"]
+
+_READ = Op.READ
+_WRITE = Op.WRITE
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,65 +104,98 @@ class SyntheticWorkload:
         return (base + block) * self.config.line_size
 
     # ------------------------------------------------------------------
-    def _draw_shared_block(self, rng: random.Random) -> int:
-        """Skewed popularity: block b with weight (b+1)^-skew."""
-        n = self.config.shared_blocks
-        if self.config.sharing_skew == 1.0:
-            return rng.randrange(n)
-        return rng.choices(
-            range(n), cum_weights=self._shared_cum_weights, k=1
-        )[0]
-
     def stream(self, processor: int) -> Iterator[tuple[Op, int]]:
-        """Infinite (op, byte-address) stream for one processor."""
+        """Infinite (op, byte-address) stream for one processor.
+
+        The draws are those of ``rng.choices(range(n),
+        cum_weights=...)`` for a skewed shared block and of
+        ``rng.randrange(n)`` for a uniform one, made directly: one
+        ``random()`` bisected into the precomputed cumulative weights,
+        and rejection sampling on ``getrandbits(n.bit_length())`` (what
+        ``randrange`` does underneath).  Same generator calls, same
+        order, same blocks -- ``tests/test_synthetic.py`` replays the
+        library calls against this stream.
+        """
         cfg = self.config
         rng = random.Random(f"{self.seed}/{processor}")
-        last_shared: Optional[int] = None
-        last_private: Optional[int] = None
+        draw = rng.random
+        getrandbits = rng.getrandbits
+        p_shared = cfg.p_shared
+        p_write = cfg.p_write
+        locality = cfg.locality
+        n_shared = cfg.shared_blocks
+        n_private = cfg.private_blocks
+        shared_bits = n_shared.bit_length()
+        private_bits = n_private.bit_length()
+        uniform_shared = cfg.sharing_skew == 1.0
+        cum_weights = self._shared_cum_weights
+        total_weight = cum_weights[-1] + 0.0
+        last_index = n_shared - 1
         # The address map of shared_address/private_address, inlined:
         # every drawn block is in range by construction.
         line_size = cfg.line_size
         private_base = cfg.shared_blocks + processor * cfg.private_blocks
+        last_shared: Optional[int] = None
+        last_private: Optional[int] = None
         while True:
-            is_shared = rng.random() < cfg.p_shared
-            is_write = rng.random() < cfg.p_write
+            is_shared = draw() < p_shared
+            op = _WRITE if draw() < p_write else _READ
             if is_shared:
-                if last_shared is not None and rng.random() < cfg.locality:
+                if last_shared is not None and draw() < locality:
                     block = last_shared
+                elif uniform_shared:
+                    block = getrandbits(shared_bits)
+                    while block >= n_shared:
+                        block = getrandbits(shared_bits)
                 else:
-                    block = self._draw_shared_block(rng)
+                    block = bisect_right(
+                        cum_weights, draw() * total_weight, 0, last_index
+                    )
                 last_shared = block
-                address = block * line_size
+                yield op, block * line_size
             else:
-                if last_private is not None and rng.random() < cfg.locality:
+                if last_private is not None and draw() < locality:
                     block = last_private
                 else:
-                    block = rng.randrange(cfg.private_blocks)
+                    block = getrandbits(private_bits)
+                    while block >= n_private:
+                        block = getrandbits(private_bits)
                 last_private = block
-                address = (private_base + block) * line_size
-            yield (Op.WRITE if is_write else Op.READ, address)
+                yield op, (private_base + block) * line_size
 
     def trace(self, references: int) -> Trace:
         """A finite round-robin interleaving of all processors' streams."""
         unit_ids = self.config.unit_ids()
         streams = [self.stream(i) for i in range(self.config.processors)]
-        processors = self.config.processors
+        # ``zip`` resumes the streams in unit order, one round at a time;
+        # a last, partial round draws ahead on streams nobody reads.
+        draws = itertools.islice(
+            itertools.chain.from_iterable(zip(*streams)), references
+        )
         records = []
         append = records.append
-        # Records are filled in directly rather than through the frozen
-        # dataclass ``__init__`` (a Python call and one
-        # ``object.__setattr__`` per field, per reference).  The instance
-        # dict is all that ``__init__`` would produce: equality, hashing,
-        # repr, pickling and immutability are the dataclass's own.
+        # Records are immutable, and locality makes a unit repeat its
+        # references, so each distinct (unit, op, address) is one shared
+        # record: a third as many objects to build and for the collector
+        # to walk while the trace runs.  Keyed per unit by the address,
+        # complemented for a write.
+        #
+        # A new record is filled in directly rather than through the
+        # frozen dataclass ``__init__`` (a Python call and one
+        # ``object.__setattr__`` per field).  The instance dict is all
+        # that ``__init__`` would produce: equality, hashing, repr,
+        # pickling and immutability are the dataclass's own.
         new_record = object.__new__
-        for i in range(references):
-            processor = i % processors
-            op, address = next(streams[processor])
-            record = new_record(ReferenceRecord)
-            fields = record.__dict__
-            fields["unit"] = unit_ids[processor]
-            fields["op"] = op
-            fields["address"] = address
+        seen = [(unit, {}) for unit in unit_ids]
+        for (unit, known), (op, address) in zip(itertools.cycle(seen), draws):
+            key = address if op is _READ else ~address
+            record = known.get(key)
+            if record is None:
+                record = known[key] = new_record(ReferenceRecord)
+                fields = record.__dict__
+                fields["unit"] = unit
+                fields["op"] = op
+                fields["address"] = address
             append(record)
         # Round-robin: the first min(references, processors) units each
         # appear in unit order.

@@ -225,3 +225,40 @@ class TestServeHitSection:
         assert serve["hit_speedup"] == pytest.approx(
             serve["miss_s"] / (p50 * 1e-9), rel=0.02
         )
+
+
+class TestExperimentSection:
+    def test_miss_percentiles_with_host(self):
+        from repro.perf.bench import (
+            EXPERIMENT_PROTOCOLS,
+            EXPERIMENT_REFERENCES,
+            _bench_experiment,
+        )
+
+        row = _bench_experiment(quick=True)
+        assert row["references"] == EXPERIMENT_REFERENCES == 1000
+        assert row["protocols"] == list(EXPERIMENT_PROTOCOLS)
+        assert row["runs"] == row["seeds"] * len(EXPERIMENT_PROTOCOLS)
+        assert 0 < row["p50_ms"] <= row["p99_ms"]
+        assert set(row["host"]) == {"cpu_count", "machine", "python", "system"}
+
+    def test_reported_not_gated(self):
+        current = _report()
+        # Far slower than any miss, yet report-only.
+        current["experiment"] = {"p50_ms": 9000.0, "p99_ms": 9999.0}
+        baseline = dict(BASELINE, experiment={"p50_ms": 10.0})
+        report = regression_report(current, baseline)
+        assert report["ok"], report["failures"]
+        assert report["experiment"] == {
+            "baseline_p50_ms": 10.0,
+            "current_p50_ms": 9000.0,
+            "current_p99_ms": 9999.0,
+        }
+
+    def test_baseline_without_the_row_accepted(self):
+        current = _report()
+        current["experiment"] = {"p50_ms": 8.0, "p99_ms": 12.0}
+        report = regression_report(current, BASELINE)
+        assert report["experiment"]["baseline_p50_ms"] is None
+        # A report from before the row existed has no section.
+        assert regression_report(_report(), BASELINE)["experiment"] is None

@@ -164,3 +164,105 @@ class TestGeneration:
         assert len(set(trace.records)) == len(set(
             ReferenceRecord(r.unit, r.op, r.address) for r in trace
         ))
+
+
+class TestDrawOrder:
+    """``stream`` makes the library's draws by hand (``random()`` into a
+    bisect of the cumulative skew weights, ``getrandbits`` rejection for
+    a uniform block).  The stream it replaced, calling
+    ``rng.choices``/``rng.randrange`` per reference, is kept here as the
+    reference: both must yield the same records, in the same order."""
+
+    @staticmethod
+    def _reference_stream(workload, processor):
+        import random
+
+        cfg = workload.config
+        rng = random.Random(f"{workload.seed}/{processor}")
+        last_shared = last_private = None
+        while True:
+            is_shared = rng.random() < cfg.p_shared
+            is_write = rng.random() < cfg.p_write
+            if is_shared:
+                if last_shared is not None and rng.random() < cfg.locality:
+                    block = last_shared
+                elif cfg.sharing_skew == 1.0:
+                    block = rng.randrange(cfg.shared_blocks)
+                else:
+                    block = rng.choices(
+                        range(cfg.shared_blocks),
+                        cum_weights=workload._shared_cum_weights,
+                        k=1,
+                    )[0]
+                last_shared = block
+                address = workload.shared_address(block)
+            else:
+                if last_private is not None and rng.random() < cfg.locality:
+                    block = last_private
+                else:
+                    block = rng.randrange(cfg.private_blocks)
+                last_private = block
+                address = workload.private_address(processor, block)
+            yield (Op.WRITE if is_write else Op.READ, address)
+
+    def _reference_trace(self, workload, references):
+        processors = workload.config.processors
+        streams = [
+            self._reference_stream(workload, p) for p in range(processors)
+        ]
+        records = []
+        for i in range(references):
+            op, address = next(streams[i % processors])
+            records.append((f"cpu{i % processors}", op, address))
+        return records
+
+    CONFIGS = [
+        SyntheticConfig(
+            processors=processors, p_shared=p_shared, locality=locality,
+            sharing_skew=skew,
+        )
+        for processors in (1, 3, 4)
+        for p_shared in (0.0, 0.3, 1.0)
+        for locality in (0.0, 0.6, 1.0)
+        for skew in (1.0, 2.0)
+    ] + [
+        # Pools that are not powers of two, and one-block pools, so the
+        # rejection loop both rejects and never needs to.
+        SyntheticConfig(shared_blocks=5, private_blocks=3, sharing_skew=1.0),
+        SyntheticConfig(shared_blocks=5, private_blocks=3, sharing_skew=3.0),
+        SyntheticConfig(shared_blocks=1, private_blocks=1, p_shared=0.5),
+    ]
+
+    @pytest.mark.parametrize(
+        "config", CONFIGS,
+        ids=lambda c: (
+            f"p{c.processors}-sh{c.p_shared}-loc{c.locality}"
+            f"-skew{c.sharing_skew}-{c.shared_blocks}x{c.private_blocks}"
+        ),
+    )
+    def test_trace_matches_library_draws(self, config):
+        for seed in range(100):
+            workload = SyntheticWorkload(config, seed=seed)
+            references = 150 + seed % config.processors
+            trace = workload.trace(references)
+            assert [
+                (r.unit, r.op, r.address) for r in trace
+            ] == self._reference_trace(workload, references), seed
+
+    def test_serve_miss_workload_matches(self):
+        """The 1000-reference synthetic workload of an experiment miss."""
+        for seed in range(3):
+            workload = SyntheticWorkload(SyntheticConfig(), seed=seed)
+            trace = workload.trace(1000)
+            assert [
+                (r.unit, r.op, r.address) for r in trace
+            ] == self._reference_trace(workload, 1000)
+
+    def test_repeated_references_share_one_record(self):
+        trace = SyntheticWorkload(SyntheticConfig(), seed=1).trace(1000)
+        distinct = {
+            (r.unit, r.op, r.address): r for r in trace.records
+        }
+        assert len({id(r) for r in trace.records}) == len(distinct)
+        for record in trace.records:
+            assert distinct[(record.unit, record.op, record.address)] is record

@@ -4,6 +4,7 @@ import pytest
 
 from repro.system.system import BoardSpec, CoherenceError, System
 from repro.workloads.patterns import ping_pong, producer_consumer
+from repro.workloads.synthetic import SyntheticConfig, SyntheticWorkload
 from repro.workloads.trace import Op, ReferenceRecord, Trace
 
 
@@ -145,3 +146,99 @@ class TestReporting:
         system = System.homogeneous("moesi", 2)
         assert system.report().bus_utilization is None
         assert system.report(elapsed_ns=1e6).bus_utilization is not None
+
+
+
+class TestCoherenceSweep:
+    """``System.check_coherence()`` takes the valid lines from the
+    resident maps instead of walking every way of every cache; it must
+    check exactly the lines that walk named, and so report the same
+    violations."""
+
+    @staticmethod
+    def _system(protocols, num_sets, check=True):
+        return System(
+            [
+                BoardSpec(unit_id=f"cpu{i}", protocol=protocol,
+                          num_sets=num_sets, associativity=2)
+                for i, protocol in enumerate(protocols)
+            ],
+            check=check,
+        )
+
+    @staticmethod
+    def _swept_lines(system):
+        """The walk over every way ``check_coherence`` used to make."""
+        known = set(system._last_version)
+        known.update(system.memory.addresses())
+        for board in system.controllers.values():
+            for line_address, _, _ in board.cached_lines():
+                known.add(line_address)
+        return sorted(known)
+
+    @staticmethod
+    def _checked(system):
+        """``check_coherence()``'s violations and the lines it checked."""
+        checked = []
+        check_line = system._line_violations
+
+        def spy(line_address):
+            checked.append(line_address)
+            return check_line(line_address)
+
+        system._line_violations = spy
+        violations = [str(v) for v in system.check_coherence()]
+        return violations, checked
+
+    def _run(self, protocols, num_sets, seed, check=True):
+        trace = SyntheticWorkload(
+            SyntheticConfig(processors=len(protocols), p_shared=0.4),
+            seed=seed,
+        ).trace(800)
+        system = self._system(protocols, num_sets, check=check)
+        system.run_trace(trace)
+        violations, checked = self._checked(system)
+        swept = self._swept_lines(system)
+        assert checked == swept
+        assert violations == [
+            str(v) for v in system.check_coherence(swept)
+        ]
+        return violations
+
+    @pytest.mark.parametrize("num_sets", [4, 64])
+    @pytest.mark.parametrize(
+        "protocols",
+        [
+            ("moesi",) * 4,
+            ("dragon",) * 4,
+            ("moesi", "dragon", "write-through", "non-caching"),
+        ],
+    )
+    def test_sweep_names_the_walked_lines(self, protocols, num_sets):
+        for seed in range(3):
+            assert self._run(protocols, num_sets, seed) == []
+
+    def test_violations_equal_the_walk(self):
+        """An incoherent run (a mutant, unchecked) names the same
+        violations either way."""
+        from repro.verify.mutations import DropOwnershipMutant
+
+        partner = DropOwnershipMutant.partner_spec
+        violations = self._run(
+            (DropOwnershipMutant(), partner, partner), 4, seed=2,
+            check=False,
+        )
+        assert violations
+
+    def test_sweep_skips_a_stale_resident_entry(self):
+        """An entry whose line went invalid stays in the map until its
+        way is reused; the sweep must not name a line nobody holds."""
+        system = self._system(("moesi", "moesi"), 4)
+        system.read("cpu0", 0x40)
+        system.read("cpu1", 0x100)
+        resident = system.controllers["cpu0"].resident
+        resident[2][2].invalidate()  # a clean copy dropped, never written
+        assert 2 in resident
+        violations, checked = self._checked(system)
+        assert violations == []
+        assert checked == self._swept_lines(system) == [8]
