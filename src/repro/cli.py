@@ -311,7 +311,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"{section['scalar_s']:.4f}s ({section['scalar_rps']}/s), "
             f"coalesced {section['batched_s']:.4f}s "
             f"({section['batched_rps']}/s), speedup "
-            f"{section['speedup']}x, payloads "
+            f"{section['speedup']}x; as served (default backends) "
+            f"{section['served_scalar_rps']}/s one-at-a-time, "
+            f"{section['served_speedup']}x; payloads "
             f"{'identical' if ok else 'MISMATCH'}"
         )
         return 0 if ok else 1
@@ -387,7 +389,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
               f"requests, {serve_batch['backend']} backend): "
               f"{serve_batch['scalar_rps']}/s one-at-a-time -> "
               f"{serve_batch['batched_rps']}/s coalesced "
-              f"({serve_batch['speedup']}x, payloads "
+              f"({serve_batch['speedup']}x; as served "
+              f"{serve_batch['served_scalar_rps']}/s one-at-a-time, "
+              f"{serve_batch['served_speedup']}x; payloads "
               f"{'identical' if serve_batch['identical'] else 'MISMATCH'})")
     regression = report.get("regression")
     if regression is not None:

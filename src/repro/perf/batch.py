@@ -26,7 +26,8 @@ Two backends, identical in output:
   dependency-free.
 
 numpy (the optional ``perf`` extra) is imported the first time a
-numpy-backend population runs or a backend is picked by default
+numpy-backend population runs or a population of at least
+:data:`NUMPY_MIN_ROWS` rows picks its backend by default
 (:func:`_numpy`); the scalar interpreter -- and the compiled explorer
 that steps through it -- never loads it.
 
@@ -75,6 +76,7 @@ __all__ = [
     "BatchResult",
     "NotBatchableError",
     "EVENT_KIND_CODES",
+    "NUMPY_MIN_ROWS",
     "available_backends",
     "batch_protocol_sweep",
     "batchable_specs",
@@ -109,21 +111,35 @@ def _numpy():
     return _np
 
 
+#: Rows from which :func:`default_backend` picks numpy.  numpy pays a
+#: fixed per-run cost that only wide populations amortize.  Measured on
+#: a 2-vCPU x86-64 host (CPython 3.11, numpy 2.4) with merged 4-row x
+#: 25-event moesi specs through :func:`run_batch_specs`, median ms
+#: python/numpy: 4 rows 1.4/9.2, 32 rows 8.2/13.8, 64 rows 16.2/16.1,
+#: 128 rows 30.3/19.0.
+NUMPY_MIN_ROWS = 64
+
+
 def available_backends() -> tuple[str, ...]:
     """Backends usable in this process, numpy first when it imports.
 
-    The order is not "fastest first" for every population: numpy pays a
-    fixed per-run cost that only wide populations amortize.  Below about
-    32-64 rows the scalar backend wins -- a 4-row x 25-event population
-    takes about 9.2 ms on numpy against 1.2 ms on python (2-vCPU host).
-    Whether ``default_backend`` should pick by row count is an open
-    decision (ROADMAP item 7: it would cost the ``serve_batch`` 5x numpy
-    floor)."""
+    The order is not "fastest first" for every population: the default
+    is picked by row count (:func:`default_backend`), python below
+    :data:`NUMPY_MIN_ROWS` rows and the first of these at or above it.
+    Merged populations and standalone ones therefore run on different
+    backends; the kernel is byte-identical across backends, so only the
+    rows' ``backend`` field shows it (the serve tier strips it)."""
     return ("numpy", "python") if _numpy() is not None else ("python",)
 
 
-def default_backend() -> str:
-    """The backend :func:`run_population` picks when none is given."""
+def default_backend(rows: Optional[int] = None) -> str:
+    """The backend :func:`run_population` picks for a population of
+    ``rows`` rows when none is given: python below
+    :data:`NUMPY_MIN_ROWS`, otherwise numpy when it imports.  ``None``
+    asks for a wide population.  A narrow population never imports
+    numpy."""
+    if rows is not None and rows < NUMPY_MIN_ROWS:
+        return "python"
     return available_backends()[0]
 
 
@@ -1314,8 +1330,9 @@ class _Kernel:
 def run_population(
     pop: BatchPopulation, backend: Optional[str] = None
 ) -> BatchResult:
-    """Run every row of a population through the kernel."""
-    chosen = backend or default_backend()
+    """Run every row of a population through the kernel, on
+    ``backend`` or else on :func:`default_backend` for its row count."""
+    chosen = backend or default_backend(pop.rows)
     if chosen != "python" and chosen not in available_backends():
         raise ValueError(
             f"backend {chosen!r} unavailable; have {available_backends()}"
@@ -1510,10 +1527,12 @@ def run_batch_specs(
     :func:`batch_protocol_sweep` runs one-protocol specs through it on
     the pool.  Each row's wall-clock
     ``transitions_per_sec`` is the throughput of the kernel call that
-    produced it -- for a one-protocol spec, that protocol's own run (the
-    serve tier strips the field from payloads).
+    produced it -- for a one-protocol spec, that protocol's own run --
+    and its ``backend`` is the one that call ran on: ``backend`` when
+    given, otherwise each merged population's own
+    :func:`default_backend` (the serve tier strips both fields from
+    payloads).
     """
-    chosen = backend or default_backend()
     out: list[list] = [[None] * len(spec.protocols) for spec in specs]
     groups: dict[tuple, list] = {}
     for si, spec in enumerate(specs):
@@ -1546,7 +1565,7 @@ def run_batch_specs(
             geometries=tuple(geoms) if hetero else None,
         )
         began = time.perf_counter()
-        result = run_population(merged, backend=chosen)
+        result = run_population(merged, backend=backend)
         seconds = time.perf_counter() - began
         per_sec = (
             round(result.transitions / seconds, 1) if seconds > 0 else 0.0

@@ -47,7 +47,9 @@ def execute_batch_payloads(
     one population synthesis pass, one SoA run per board mix.  Each
     payload is byte-identical to ``execute_payload(canonical)`` for the
     same spec: rows come from the same kernel on the same schedules, and
-    :func:`payload_for` strips the wall-clock column either way."""
+    :func:`payload_for` strips the wall-clock and backend columns either
+    way, so the payload does not depend on which backend the merged
+    population's row count picked."""
     from repro.perf.batch import run_batch_specs
     from repro.serve.protocol import payload_for
     from repro.specs import spec_from_canonical

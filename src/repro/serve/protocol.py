@@ -13,9 +13,11 @@ Payload shape (JSON-safe, deterministic)::
 
 Determinism rules:
 
-* wall-clock fields are stripped (batch rows lose
-  ``transitions_per_sec``) -- simulated time (``elapsed_ns``,
-  ``elapsed_us``) is deterministic DES time and stays;
+* execution details are stripped: batch rows lose
+  ``transitions_per_sec`` (host wall clock) and ``backend`` (picked by
+  the row count of the population that ran them, so a merged request
+  and a solo one would name different backends) -- simulated time
+  (``elapsed_ns``, ``elapsed_us``) is deterministic DES time and stays;
 * the experiment report's embedded ``metrics``/``trace`` are hoisted to
   the payload's top level (nulled inside ``data``), so streaming can
   deliver them as frames without re-encoding the report;
@@ -30,8 +32,8 @@ carries ``batched: true`` and ``population`` (the sealed population's
 row count) -- annotations only: ``data`` stays byte-identical to the
 one-at-a-time path, because both paths run the same kernel on the same
 per-spec schedules and serialize through :func:`payload_for`, whose
-wall-clock strip (:data:`_WALL_CLOCK_ROW_FIELDS`) removes the only
-field a merged run could not reproduce.
+execution-detail strip (:data:`_EXECUTION_DETAIL_ROW_FIELDS`) removes
+the only fields a merged run could not reproduce.
 """
 
 from __future__ import annotations
@@ -46,9 +48,11 @@ __all__ = [
     "payload_json",
 ]
 
-#: Batch sweep row fields measured on the host wall clock -- stripped so
-#: a cached payload equals a recomputed one.
-_WALL_CLOCK_ROW_FIELDS = ("transitions_per_sec",)
+#: Batch sweep row fields that say how a row was computed, not what it
+#: is -- the host wall clock and the kernel backend (neither enters the
+#: content hash) -- stripped so a cached payload equals a recomputed one
+#: and a merged row equals a solo one.
+_EXECUTION_DETAIL_ROW_FIELDS = ("backend", "transitions_per_sec")
 
 
 def _experiment_payload(spec, result) -> dict:
@@ -129,7 +133,9 @@ def payload_for(spec, result) -> dict:
     if isinstance(spec, ShootoutSpec):
         return _rows_payload("shootout", result)
     if isinstance(spec, BatchSpec):
-        return _rows_payload("batch", result, strip=_WALL_CLOCK_ROW_FIELDS)
+        return _rows_payload(
+            "batch", result, strip=_EXECUTION_DETAIL_ROW_FIELDS
+        )
     raise TypeError(f"no payload serialization for {type(spec).__name__}")
 
 

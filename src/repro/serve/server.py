@@ -36,11 +36,20 @@ requests land within it -- capped at ``batch_max`` -- seal into one
 padded heterogeneous-geometry SoA population, executed as a *single*
 pool job (:func:`repro.serve.jobs.dispatch_batch_job`, shared tables
 published once per epoch), and the per-row results de-multiplex back
-into the exact envelopes each request would have gotten alone.  Rows
-whose deadline expires while the window is open are dropped from the
-population individually -- their neighbours still execute.  A window
-of ``0`` degenerates to populations of one (no coalescing latency);
-a negative window disables the batch path entirely.
+into the exact envelopes each request would have gotten alone.
+
+The window is a cap, not a wait: only an *idle* connection -- accepted
+and not yet read from, or waiting for its next line -- or one still in
+a listen queue can add a request, so a forming population seals on the
+next loop turn after no connection can join it any more (the
+``sealed_early`` counter).  A lone caller therefore never waits out the
+window; a burst over concurrent connections still coalesces, because
+each of its connections is idle, or queued, from its ``connect`` until
+its line is read.  Rows whose deadline
+expires while the window is open are dropped from the population
+individually -- their neighbours still execute.  A window of ``0``
+degenerates to populations of one (no coalescing latency); a negative
+window disables the batch path entirely.
 """
 
 from __future__ import annotations
@@ -49,6 +58,7 @@ import asyncio
 import dataclasses
 import json
 import os
+import select
 from collections import OrderedDict
 from typing import Callable, Optional
 
@@ -74,7 +84,8 @@ class ServeConfig:
 
     ``batch_window_s``/``batch_max`` shape the continuous-batching
     admission queue: batch-lowerable specs arriving within the window
-    (up to the cap) coalesce into one SoA population.  ``0`` seals each
+    (up to the cap) coalesce into one SoA population; the window seals
+    early once no connection could still join it.  ``0`` seals each
     population at one row (degenerate, no added latency); negative
     disables the batch path.  ``batch_dispatcher`` injects the
     coalesced runner -- ``(canonicals, deadline_s) -> [payload, ...]``
@@ -100,7 +111,8 @@ class ServeConfig:
 
 class _PendingBatch:
     """One forming population: entries accumulate until the admission
-    window elapses or the population cap fills."""
+    window elapses, the population cap fills, or no connection could
+    still join it."""
 
     __slots__ = ("entries", "full")
 
@@ -134,6 +146,9 @@ class ReproServer:
             "population_max": 0,
             "scalar_path": 0,
             "deadline_dropped": 0,
+            # Populations sealed before their window elapsed because no
+            # connection could still join them.
+            "sealed_early": 0,
         }
         self.endpoints: dict = {}
         #: Exact request-line bytes -> the parsed execute request
@@ -144,6 +159,14 @@ class ReproServer:
         #: nobody ends up awaiting never logs "exception never retrieved".
         self._inflight: dict[str, asyncio.Future] = {}
         self._admitted = 0
+        #: Connections that can still send a request, and so join a
+        #: forming population: counted from accept (before their handler
+        #: first reaches ``readline``) and again whenever they wait for
+        #: their next line.
+        self._idle = 0
+        #: Polls the listening sockets: a connection still in a listen
+        #: queue can join too.
+        self._listen_queue = select.poll()
         self._servers: list = []
         self._client_tasks: set = set()
         #: batch_key -> the currently forming population, plus the
@@ -186,22 +209,35 @@ class ReproServer:
         OS-assigned port resolved when ``port=0``)."""
         self._semaphore = asyncio.Semaphore(max(1, self.config.concurrency))
         self._stopping = asyncio.Event()
+        loop = asyncio.get_running_loop()
+
+        def accept():
+            # What ``asyncio.start_server`` builds, counted as idle from
+            # accept on.
+            self._idle += 1
+            return asyncio.StreamReaderProtocol(
+                asyncio.StreamReader(loop=loop), self._on_client, loop=loop
+            )
+
         if self.config.port is not None:
-            server = await asyncio.start_server(
-                self._on_client, self.config.host, self.config.port
+            server = await loop.create_server(
+                accept, self.config.host, self.config.port
             )
             self._servers.append(server)
             sockname = server.sockets[0].getsockname()
             self.endpoints["host"] = sockname[0]
             self.endpoints["port"] = sockname[1]
         if self.config.unix_socket is not None:
-            server = await asyncio.start_unix_server(
-                self._on_client, path=self.config.unix_socket
+            server = await loop.create_unix_server(
+                accept, path=self.config.unix_socket
             )
             self._servers.append(server)
             self.endpoints["unix_socket"] = self.config.unix_socket
         if not self._servers:
             raise ValueError("ServeConfig binds neither a port nor a socket")
+        for server in self._servers:
+            for sock in server.sockets:
+                self._listen_queue.register(sock.fileno(), select.POLLIN)
         return dict(self.endpoints)
 
     async def serve_forever(self) -> None:
@@ -227,6 +263,7 @@ class ReproServer:
                 *self._client_tasks, return_exceptions=True
             )
         self._client_tasks.clear()
+        self._listen_queue = select.poll()
         for task in list(self._collectors):
             task.cancel()
         if self._collectors:
@@ -249,12 +286,17 @@ class ReproServer:
             self._client_tasks.add(task)
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                finally:
+                    self._idle -= 1
+                    self._seal_if_unjoinable()
                 if not line:
                     break
                 line = line.strip()
                 if line:
                     await self._serve_line(line, writer)
+                self._idle += 1
         except (ConnectionResetError, BrokenPipeError):
             pass
         except asyncio.CancelledError:
@@ -325,6 +367,8 @@ class ReproServer:
                 "max_population": counters["population_max"],
                 "scalar_path": counters["scalar_path"],
                 "deadline_dropped": counters["deadline_dropped"],
+                "sealed_early": counters["sealed_early"],
+                "idle_connections": self._idle,
                 "forming": sum(
                     len(batch.entries)
                     for batch in self._batches.values()
@@ -504,6 +548,7 @@ class ReproServer:
                 # Open the admission window; the collector seals it.
                 self._batches[route] = batch
                 collector = loop.create_task(self._collect(route, batch))
+                self._seal_if_unjoinable()
             else:
                 # window == 0 (or batch_max == 1): degenerate population
                 # of one, sealed immediately -- no coalescing latency.
@@ -518,8 +563,29 @@ class ReproServer:
                 batch.full.set()
         return await entry["future"]
 
+    def _joinable(self) -> bool:
+        """Whether a connection can still add a request: one is idle or
+        waits in a listen queue."""
+        return bool(self._idle or self._listen_queue.poll(0))
+
+    def _seal_if_unjoinable(self) -> None:
+        """Seal the forming populations on the next loop turn -- once the
+        line just read has joined, and a connection accepted meanwhile
+        counts as idle -- unless a connection can still join them."""
+        if self._batches and not self._joinable():
+            asyncio.get_running_loop().call_soon(self._seal_unjoinable)
+
+    def _seal_unjoinable(self) -> None:
+        if self._joinable():
+            return
+        for batch in self._batches.values():
+            self.counters["sealed_early"] += 1
+            batch.full.set()
+        self._batches.clear()
+
     async def _collect(self, route: str, batch: _PendingBatch) -> None:
-        """Wait out the admission window (or the cap), then execute."""
+        """Wait out the admission window unless the population seals
+        first (cap reached, nobody left to join), then execute."""
         try:
             await asyncio.wait_for(
                 batch.full.wait(), timeout=self.config.batch_window_s

@@ -4,7 +4,8 @@ does not depend on the hash seed.
 * **Import hygiene.**  Fuzz, verify, the CLI and the serve daemon never
   import ``networkx`` (the optional ``diagram`` extra) or ``numpy`` (the
   optional ``perf`` extra); numpy loads only when a numpy-backend batch
-  population runs.  ``import repro`` and an experiment run do not load
+  population runs, so a serve batch job as small as the perfbench one
+  never loads it.  ``import repro`` and an experiment run do not load
   the process pool (nor, through it, :mod:`multiprocessing`).
 * **The diagram extra.**  Without networkx, ``repro diagram`` fails with
   one line naming the extra, and the rest of :mod:`repro.analysis` still
@@ -85,6 +86,23 @@ def test_entry_paths_load_neither_optional_package():
     assert "python-backend []" in lines
     if HAVE_NUMPY:
         assert "numpy-backend ['numpy']" in lines
+
+
+def test_small_serve_batch_job_does_not_load_numpy():
+    # The job body a daemon's pool worker runs for a 4-row batch request:
+    # below the backend crossover, so the worker's memory stays free of
+    # numpy.
+    child = _run(
+        "import sys\n"
+        "from repro.serve.jobs import execute_batch_payloads\n"
+        "from repro.specs import BatchSpec\n"
+        "spec = BatchSpec(('moesi',), rows=4, events_per_row=25)\n"
+        "payload, = execute_batch_payloads((spec.canonical(),))\n"
+        "assert payload['data']['rows'][0]['transitions'] > 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines() == ["False"]
 
 
 def test_experiment_path_does_not_load_the_pool():

@@ -13,6 +13,7 @@ import pytest
 from repro.fuzz.scenario import generate_scenario
 from repro.perf.batch import (
     EVENT_KIND_CODES,
+    NUMPY_MIN_ROWS,
     BatchGeometry,
     BatchPopulation,
     NotBatchableError,
@@ -23,6 +24,7 @@ from repro.perf.batch import (
     lower_units,
     make_synthetic_population,
     replay_row,
+    run_batch_specs,
     run_population,
     verify_rows,
 )
@@ -109,6 +111,36 @@ class TestBackends:
         assert default_backend() == backends[0]
         if HAVE_NUMPY:
             assert backends == ("numpy", "python")
+
+    def test_default_backend_by_row_count(self):
+        wide = "numpy" if HAVE_NUMPY else "python"
+        assert default_backend(1) == "python"
+        assert default_backend(NUMPY_MIN_ROWS - 1) == "python"
+        assert default_backend(NUMPY_MIN_ROWS) == wide
+        assert default_backend(4 * NUMPY_MIN_ROWS) == wide
+
+    def test_population_runs_on_its_own_default(self):
+        for rows in (NUMPY_MIN_ROWS - 1, NUMPY_MIN_ROWS):
+            pop = make_synthetic_population(rows=rows, events_per_row=5)
+            assert run_population(pop).backend == default_backend(rows)
+
+    def test_batch_rows_name_the_backend_that_ran(self):
+        from repro.specs import BatchSpec
+
+        def spec(seed):
+            return BatchSpec(protocols=("moesi",), rows=4,
+                             events_per_row=25, seed=seed)
+
+        burst = [spec(seed) for seed in range(NUMPY_MIN_ROWS // 4)]
+        (solo,), = run_batch_specs([spec(0)])
+        merged = run_batch_specs(burst)
+        assert solo["backend"] == "python"
+        assert {rows[0]["backend"] for rows in merged} == {
+            default_backend(NUMPY_MIN_ROWS)
+        }
+        for backend in available_backends():
+            (pinned,), = run_batch_specs([spec(0)], backend=backend)
+            assert pinned["backend"] == backend
 
     def test_unknown_backend_rejected(self):
         pop = make_synthetic_population(rows=2, events_per_row=5)
@@ -332,7 +364,7 @@ class TestSweepEntryPoints:
              "transitions": 592, "crashes": 0},
         ]
         for row in golden:
-            row["backend"] = default_backend()
+            row["backend"] = default_backend(row["rows"])
         spec = plan("batch", protocols=("moesi", "illinois", "dragon"),
                     rows=8, events_per_row=50)
         monkeypatch.setattr(pool_mod.os, "cpu_count", lambda: 4)

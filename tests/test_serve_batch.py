@@ -11,16 +11,21 @@ pure-Python kernel backend on both the served and the direct leg.
 """
 
 import asyncio
+import contextlib
 import pickle
+import socket
 import threading
+import time
 
 import pytest
 
 import repro.perf.batch as batch_mod
 from repro.api import execute, plan
 from repro.perf.batch import (
+    NUMPY_MIN_ROWS,
     BatchGeometry,
     available_backends,
+    default_backend,
     make_synthetic_population,
     run_batch_specs,
     run_population,
@@ -140,6 +145,26 @@ class TestRunBatchSpecs:
                 for protocol in spec.protocols
             ]
 
+    def test_merged_burst_past_the_crossover_serves_solo_bytes(self):
+        # 16 four-row specs merge into 64 rows (numpy when it imports);
+        # each spec alone is 4 rows (python).  The payloads carry no
+        # backend, so they are byte-equal anyway.
+        burst = [
+            batch_spec(seed=seed, events_per_row=25)
+            for seed in range(NUMPY_MIN_ROWS // 4)
+        ]
+        merged_rows = run_batch_specs(burst)
+        assert merged_rows[0][0]["backend"] == default_backend(
+            NUMPY_MIN_ROWS
+        )
+        canonicals = tuple(spec.canonical() for spec in burst)
+        merged = execute_batch_payloads(canonicals)
+        for spec, payload in zip(burst, merged):
+            assert "backend" not in payload["data"]["rows"][0]
+            assert payload_json(payload) == payload_json(
+                direct_payload(spec)
+            )
+
 
 # ----------------------------------------------------------------------
 # The daemon's admission queue.
@@ -189,6 +214,22 @@ class Daemon:
         return ServeClient(
             port=self.server.endpoints["port"], timeout_s=timeout_s
         )
+
+    @contextlib.contextmanager
+    def idle_connection(self):
+        """An open connection that sends nothing: the daemon counts it
+        idle, so a forming population waits out its window for it."""
+        with socket.create_connection(
+            ("127.0.0.1", self.server.endpoints["port"]), timeout=10
+        ) as sock:
+            for _ in range(500):
+                batch = self.client().status()["data"]["batch"]
+                if batch["idle_connections"]:
+                    break
+                time.sleep(0.01)
+            else:
+                raise AssertionError("the idle connection was never seen")
+            yield sock
 
 
 BURST = [batch_spec(seed=seed) for seed in range(6)]
@@ -275,7 +316,10 @@ class TestDaemonBatching:
 
     def test_expired_row_dropped_neighbour_survives(self):
         live_spec, doomed_spec = batch_spec(seed=20), batch_spec(seed=21)
-        with Daemon(batch_window_s=0.5, batch_max=64) as daemon:
+        # The idle connection could still join, so the window is waited
+        # out and the doomed row's 0.05 s deadline passes inside it.
+        with Daemon(batch_window_s=0.5, batch_max=64) as daemon, \
+                daemon.idle_connection():
             client = daemon.client()
             results = {}
 
@@ -307,3 +351,76 @@ class TestDaemonBatching:
         )
         assert status["counters"]["deadline_dropped"] == 1
         assert status["batch"]["max_population"] == 1
+
+
+# ----------------------------------------------------------------------
+# Sealing: the window is a cap, waited out only while someone can join.
+# ----------------------------------------------------------------------
+class TestSealing:
+    def test_lone_request_seals_at_once(self):
+        spec = batch_spec(seed=30)
+        with Daemon(batch_window_s=0.5, batch_max=64) as daemon:
+            client = daemon.client()
+            began = time.perf_counter()
+            envelope = client.execute(spec)
+            elapsed = time.perf_counter() - began
+            batch = client.status()["data"]["batch"]
+        assert envelope["ok"] and envelope["batched"]
+        assert envelope["population"] == 1
+        assert elapsed < 0.25, elapsed
+        assert batch["sealed_early"] == 1
+        assert canonical_json(envelope["data"]) == canonical_json(
+            direct_payload(spec)["data"]
+        )
+
+    def test_open_window_seals_when_the_last_idle_connection_leaves(self):
+        spec = batch_spec(seed=31)
+        with Daemon(batch_window_s=30.0, batch_max=64) as daemon:
+            client = daemon.client()
+            result = {}
+            with daemon.idle_connection():
+                submit = threading.Thread(
+                    target=lambda: result.update(env=client.execute(spec))
+                )
+                submit.start()
+                for _ in range(500):
+                    if client.status()["data"]["batch"]["forming"]:
+                        break
+                    time.sleep(0.01)
+                else:
+                    raise AssertionError("the population never formed")
+                assert "env" not in result  # held open by the idle peer
+            # Closing the idle connection leaves nobody who could join.
+            submit.join(timeout=10)
+            batch = client.status()["data"]["batch"]
+        assert not submit.is_alive(), "the window was waited out"
+        assert result["env"]["ok"] and result["env"]["population"] == 1
+        assert batch["sealed_early"] == 1
+
+    def test_a_connection_counts_from_the_listen_queue_on(self):
+        async def main():
+            server = ReproServer(ServeConfig(port=0))
+            endpoints = await server.start()
+            try:
+                assert not server._joinable()
+                # Connected while the loop is blocked: in the listen
+                # queue, not accepted yet, but it could still join.
+                sock = socket.create_connection(
+                    ("127.0.0.1", endpoints["port"]), timeout=10
+                )
+                assert server._idle == 0 and server._joinable()
+                for _ in range(500):
+                    if server._idle:
+                        break
+                    await asyncio.sleep(0.001)
+                assert server._idle == 1  # accepted, nothing read yet
+                sock.close()
+                for _ in range(500):
+                    if not server._idle:
+                        break
+                    await asyncio.sleep(0.001)
+                assert not server._joinable()
+            finally:
+                await server.close()
+
+        asyncio.run(main())
