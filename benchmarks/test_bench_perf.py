@@ -5,22 +5,15 @@ Unlike the experiment benchmarks (which reproduce a paper artifact), this
 module tracks the *toolkit's* performance trajectory: the saved artifact
 is the same machine-readable report ``repro bench`` writes to
 ``BENCH_perf.json``, so successive revisions can be diffed.  The CI
-bench-smoke job runs this in quick mode and fails on a >10%
-transitions/sec regression against the committed baseline or a traced
-observability overhead over budget.
+bench-smoke job runs this in quick mode and fails when any gate of the
+bench table (``repro.perf.bench.SECTIONS``) fails against the committed
+baseline.
 """
 
 import json
 import pathlib
 
-from repro.perf.bench import (
-    BATCH_MIN_EXPLORER_MULTIPLE,
-    BENCH_FILENAME,
-    MAX_TRACED_OVERHEAD_PCT,
-    MIN_SERVE_BATCH_SPEEDUP,
-    load_baseline,
-    run_bench_suite,
-)
+from repro.perf.bench import BENCH_FILENAME, load_baseline, run_bench_suite
 from repro.perf.pool import resolve_workers
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -28,53 +21,12 @@ BASELINE_PATH = str(REPO_ROOT / BENCH_FILENAME)
 
 
 def _assert_budgets(report: dict) -> None:
-    assert report["matrix"]["all_ok"]
-    assert report["matrix"]["rows_identical"]
-    assert report["des"]["rows_identical"]
-    # The disabled-path observability budget: guards only, <5% vs a
-    # direct pre-facade run of the same workload.
-    assert report["obs"]["overhead_disabled_pct"] < 5.0
-    # The traced-path budget: ring-buffered deferred encoding keeps the
-    # full structured stream within budget.
-    assert report["obs"]["overhead_traced_pct"] <= MAX_TRACED_OVERHEAD_PCT, (
-        f"traced overhead {report['obs']['overhead_traced_pct']}% over the "
-        f"{MAX_TRACED_OVERHEAD_PCT}% budget"
-    )
-    # The batch kernel must agree with the object engine on its sampled
-    # rows; the throughput floor/budget rides on the regression section.
-    assert report["batch"]["verified_ok"], (
-        "batch kernel diverged from the object engine"
-    )
+    # One evaluator judges every gate: the equality checks (matrix/DES
+    # rows, batch oracle agreement, coalesced payloads), the obs
+    # overheads, the throughput floors and the memo-hit budget.
+    regression = report["regression"]
+    assert regression["ok"], "; ".join(regression["failures"])
     assert report["batch"]["backends"], "no batch backend was timed"
-    # Continuous batching must reproduce one-at-a-time dispatch byte for
-    # byte; the speedup floor is numpy-only (coalescing buys the scalar
-    # interpreter nothing but amortized fixed costs).
-    serve_batch = report["serve_batch"]
-    assert serve_batch["identical"], (
-        "coalesced serve payloads diverged from one-at-a-time execution"
-    )
-    if serve_batch["backend"] == "numpy":
-        assert serve_batch["speedup"] >= MIN_SERVE_BATCH_SPEEDUP, (
-            f"coalesced burst only {serve_batch['speedup']}x one-at-a-time "
-            f"dispatch, below the {MIN_SERVE_BATCH_SPEEDUP}x floor"
-        )
-    regression = report.get("regression")
-    if regression is not None:
-        assert regression["ok"], "; ".join(regression["failures"])
-        batch = regression.get("batch")
-        if batch is not None and batch["explorer_multiple"] is not None:
-            gated = max(
-                x
-                for x in (
-                    batch["explorer_multiple"],
-                    batch["explorer_multiple_normalized"],
-                )
-                if x is not None
-            )
-            assert gated >= BATCH_MIN_EXPLORER_MULTIPLE, (
-                f"batch kernel at {gated}x the baseline explorer, below "
-                f"the {BATCH_MIN_EXPLORER_MULTIPLE}x floor"
-            )
 
 
 def test_bench_suite(benchmark, save_artifact):
@@ -86,8 +38,8 @@ def test_bench_suite(benchmark, save_artifact):
         ),
         rounds=1, iterations=1,
     )
-    _assert_budgets(report)
     save_artifact("perf_bench", json.dumps(report, indent=2))
+    _assert_budgets(report)
 
 
 def test_bench_smoke_quick(save_artifact):
@@ -99,7 +51,10 @@ def test_bench_smoke_quick(save_artifact):
     report = run_bench_suite(
         workers=resolve_workers(None), quick=True, baseline_path=BASELINE_PATH
     )
-    _assert_budgets(report)
-    regression = report["regression"]
-    assert regression["explorer"], "baseline shares no explorer mixes"
+    # Saved before the verdict, so a failing run still leaves its report.
     save_artifact("perf_bench_smoke", json.dumps(report, indent=2))
+    _assert_budgets(report)
+    assert any(
+        row["section"] == "explorer" and row["ok"] is not None
+        for row in report["regression"]["gates"]
+    ), "baseline shares no explorer mixes"

@@ -257,162 +257,37 @@ def _cmd_shootout(args: argparse.Namespace) -> int:
     return 0
 
 
-def _batch_section_rows(section: dict) -> list:
-    return [
-        {"backend": name, **leg}
-        for name, leg in section["backends"].items()
-    ]
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.analysis.report import format_rows
-    from repro.perf.bench import run_bench_suite, write_bench_json
+    from repro.perf.bench import SECTIONS, run_bench_suite, write_bench_json
 
-    if getattr(args, "batch", False):
-        # Batch-kernel section only: no matrix/DES/obs legs, no JSON
-        # artifact -- the quick way to eyeball population throughput.
-        from repro.perf.bench import _bench_batch
-
-        section = _bench_batch(args.quick)
-        ok = section["verified_ok"]
-        if args.json:
-            return _emit(
-                args, "bench", ok, {"batch": section},
-                {"bench.batch_backend": section["default_backend"]},
-            )
-        print(
-            format_rows(
-                _batch_section_rows(section),
-                f"Batch kernel ({section['rows']} rows x "
-                f"{section['events_per_row']} events/row, oracle check on "
-                f"{section['verified_rows']} rows: "
-                f"{'ok' if ok else 'MISMATCH'})",
-            )
-        )
-        return 0 if ok else 1
-
-    if getattr(args, "serve_batch", False):
-        # Continuous-batching section only: coalesced population vs
-        # one-at-a-time dispatch on a compatible burst.  Like --batch,
-        # this never writes the JSON artifact (baseline hygiene: quick
-        # numbers must not overwrite the committed full-suite report).
-        from repro.perf.bench import _bench_serve_batch
-
-        section = _bench_serve_batch(args.quick)
-        ok = section["identical"]
-        if args.json:
-            return _emit(
-                args, "bench", ok, {"serve_batch": section},
-                {"bench.serve_batch_backend": section["backend"]},
-            )
-        print(
-            f"serve batch ({section['requests']} compatible requests, "
-            f"{section['backend']} backend): one-at-a-time "
-            f"{section['scalar_s']:.4f}s ({section['scalar_rps']}/s), "
-            f"coalesced {section['batched_s']:.4f}s "
-            f"({section['batched_rps']}/s), speedup "
-            f"{section['speedup']}x; as served (default backends) "
-            f"{section['served_scalar_rps']}/s one-at-a-time, "
-            f"{section['served_speedup']}x; payloads "
-            f"{'identical' if ok else 'MISMATCH'}"
-        )
-        return 0 if ok else 1
-
-    report = run_bench_suite(workers=args.workers, quick=args.quick)
-    ok = (report["matrix"]["rows_identical"]
-          and report["des"]["rows_identical"])
+    # --batch / --serve-batch run only those sections and write no file
+    # (quick numbers must not overwrite the committed full-suite report).
+    only = tuple(name for name, chosen in (("batch", args.batch),
+                                           ("serve_batch", args.serve_batch))
+                 if chosen)
+    report = run_bench_suite(workers=args.workers, quick=args.quick,
+                             only=only)
+    regression = report["regression"]
+    # The exit status is correctness (equality checks: rows, payloads,
+    # oracle agreement); a budget miss prints as a REGRESSION line.
+    ok = all(row["ok"] is not False for row in regression["gates"]
+             if row["op"] == "==")
     if args.json:
         return _emit(args, "bench", ok, report,
                      {"bench.workers": report["workers"]})
-    print(
-        format_rows(
-            report["explorer"],
-            "Object-explorer baseline (single worker, exhaustive; "
-            "the compiled search's oracle)",
-        )
-    )
-    section_rows = []
-    for name in ("matrix", "des"):
-        section = report[name]
-        section_rows.append(
-            {
-                "section": name,
-                "serial_s": section["serial_s"],
-                "parallel_s": section["parallel_s"],
-                "speedup": section["speedup"],
-                "identical": section["rows_identical"],
-            }
-        )
-    print()
-    print(
-        format_rows(
-            section_rows,
-            f"Serial vs parallel ({report['workers']} workers, "
-            f"{report['cpu_count']} cpus)",
-        )
-    )
-    obs = report["obs"]
-    print(f"\nobservability tax ({obs['references']} refs, median of "
-          f"{obs['repeats']} paired rounds): disabled {obs['overhead_disabled_pct']:+.2f}%,"
-          f" traced {obs['overhead_traced_pct']:+.2f}% vs direct")
-    batch = report.get("batch")
-    if batch is not None:
-        print()
-        print(
-            format_rows(
-                _batch_section_rows(batch),
-                f"Batch kernel ({batch['rows']} rows x "
-                f"{batch['events_per_row']} events/row, oracle check on "
-                f"{batch['verified_rows']} rows: "
-                f"{'ok' if batch['verified_ok'] else 'MISMATCH'})",
-            )
-        )
-    serve = report.get("serve")
-    if serve is not None:
-        cache = serve["cache"]
-        print(f"\nserve tier ({serve['references']} refs): miss "
-              f"{serve['miss_s']:.4f}s, hit p50 {serve['hit_ns_p50']} ns "
-              f"p99 {serve['hit_ns_p99']} ns ({serve['hit_speedup']}x at "
-              f"p50); loopback hit reply p50 {serve['hit_response_us_p50']} "
-              f"us p99 {serve['hit_response_us_p99']} us; cache hits "
-              f"{cache['hits']}, misses {cache['misses']}")
-    experiment = report.get("experiment")
-    if experiment is not None:
-        print(f"experiment miss ({experiment['references']} refs, checked, "
-              f"{len(experiment['protocols'])} protocols x "
-              f"{experiment['seeds']} seeds): p50 {experiment['p50_ms']} ms "
-              f"p99 {experiment['p99_ms']} ms on "
-              f"{experiment['host']['cpu_count']} cpus (reported, not gated)")
-    serve_batch = report.get("serve_batch")
-    if serve_batch is not None:
-        print(f"serve batch ({serve_batch['requests']} compatible "
-              f"requests, {serve_batch['backend']} backend): "
-              f"{serve_batch['scalar_rps']}/s one-at-a-time -> "
-              f"{serve_batch['batched_rps']}/s coalesced "
-              f"({serve_batch['speedup']}x; as served "
-              f"{serve_batch['served_scalar_rps']}/s one-at-a-time, "
-              f"{serve_batch['served_speedup']}x; payloads "
-              f"{'identical' if serve_batch['identical'] else 'MISMATCH'})")
-    regression = report.get("regression")
-    if regression is not None:
-        if regression["explorer"]:
+    for section in SECTIONS:
+        if section.name in report:
+            print(section.describe(report))
             print()
-            print(
-                format_rows(
-                    regression["explorer"],
-                    "Regression vs baseline "
-                    f"({regression['baseline_timestamp']})",
-                )
-            )
-        for failure in regression["failures"]:
-            print(f"REGRESSION: {failure}")
-        if regression["ok"]:
-            print("regression check: ok (budgets "
-                  f"tps>={regression['budgets']['min_tps_ratio']}x, "
-                  "traced<="
-                  f"{regression['budgets']['max_traced_overhead_pct']:.0f}%)")
-    path = write_bench_json(report, args.out)
-    print(f"\nwrote {path}")
+    print(format_rows(regression["gates"], "Gates vs baseline "
+                      f"({regression['baseline_timestamp']})"))
+    for failure in regression["failures"]:
+        print(f"REGRESSION: {failure}")
+    if regression["ok"]:
+        print("regression check: ok")
+    if not only:
+        print(f"\nwrote {write_bench_json(report, args.out)}")
     return 0 if ok else 1
 
 

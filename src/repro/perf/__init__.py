@@ -21,9 +21,9 @@ keeps a second, serial code path.  This package provides:
   specs to result rows, and
   :func:`~repro.perf.batch.batch_protocol_sweep`, which fans one-protocol
   specs over the pool;
-* :mod:`repro.perf.bench` -- the ``repro bench`` suite: serial-vs-parallel
-  wall time, explorer states/sec, batch-kernel throughput, written to
-  ``BENCH_perf.json``.
+* :mod:`repro.perf.bench` -- the ``repro bench`` suite: one
+  ``SECTIONS`` table of runners and gates, judged by one evaluator and
+  written to ``BENCH_perf.json``.
 
 The package itself re-exports nothing: import the submodule you use
 (``from repro.perf.pool import parallel_map``).  Importing the package

@@ -2,9 +2,10 @@
 
 The bench smoke job exercises :func:`repro.perf.bench.regression_report`
 end-to-end against the committed baseline; these tests pin the gate
-*logic* -- especially the serve memo-hit budget and its lower-is-better
-host normalization -- on hand-built report dicts, so a gate bug fails
-fast instead of surfacing as a flaky CI verdict.
+*logic* -- every gate of :data:`repro.perf.bench.SECTIONS` at the edge
+of its budget, and the serve memo-hit budget's lower-is-better host
+normalization -- on hand-built report dicts, so a gate bug fails fast
+instead of surfacing as a flaky CI verdict.
 """
 
 import copy
@@ -12,10 +13,13 @@ import copy
 import pytest
 
 from repro.perf.bench import (
+    EXPLORER_MIXES,
     MAX_DISABLED_OVERHEAD_PCT,
     MAX_SERVE_HIT_S,
     MAX_TRACED_OVERHEAD_PCT,
+    MIN_SERVE_BATCH_SPEEDUP,
     MIN_TPS_RATIO,
+    SECTIONS,
     regression_report,
 )
 
@@ -54,12 +58,21 @@ def _report(cal=1_000_000.0, hit_ns=1000, batch_tps=1_000_000.0,
 BASELINE = _report()
 
 
+def _row(report, section, metric):
+    """The gate row for ``section``/``metric``, or None when absent."""
+    return next(
+        (row for row in report["gates"]
+         if (row["section"], row["metric"]) == (section, metric)),
+        None,
+    )
+
+
 class TestServeGate:
     def test_healthy_hit_passes(self):
         report = regression_report(_report(hit_ns=2000), BASELINE)
         assert report["ok"], report["failures"]
-        assert report["serve"]["current_hit_ns_p50"] == 2000
-        assert report["serve"]["current_hit_ns_p99"] == 2000
+        assert _row(report, "serve", "hit_ns_p50")["current"] == 2000
+        assert _row(report, "serve", "hit_ns_p99")["current"] == 2000
         assert report["budgets"]["max_serve_hit_s"] == MAX_SERVE_HIT_S
 
     def test_hit_over_budget_fails(self):
@@ -89,10 +102,8 @@ class TestServeGate:
         slow = _report(cal=500_000.0, hit_ns=round(_BUDGET_NS * 1.6))
         report = regression_report(slow, BASELINE)
         assert report["ok"], report["failures"]
-        assert (
-            report["serve"]["current_hit_ns_p50_normalized"]
-            < report["serve"]["current_hit_ns_p50"]
-        )
+        row = _row(report, "serve", "hit_ns_p50")
+        assert row["value"] < row["current"]
 
     def test_genuine_regression_survives_discount(self):
         # Over budget even after the 2x host credit: must still fail.
@@ -107,11 +118,11 @@ class TestServeGate:
         current["serve"]["hit_response_us_p99"] = MAX_SERVE_HIT_S * 1e7
         report = regression_report(current, BASELINE)
         assert report["ok"], report["failures"]
-        assert report["serve"]["current_hit_response_us_p50"] == 3.0
-        assert report["serve"]["current_hit_response_us_p99"] == (
-            MAX_SERVE_HIT_S * 1e7
-        )
-        assert report["serve"]["baseline_hit_response_us_p50"] is None
+        p50 = _row(report, "serve", "hit_response_us_p50")
+        p99 = _row(report, "serve", "hit_response_us_p99")
+        assert p50["current"] == 3.0 and p50["ok"] is None
+        assert p99["current"] == MAX_SERVE_HIT_S * 1e7 and p99["ok"] is None
+        assert p50["baseline"] is None
 
     def test_committed_baseline_without_hit_response_accepted(self):
         from pathlib import Path
@@ -130,18 +141,18 @@ class TestServeGate:
         current["serve"]["hit_response_us_p50"] = 3.0
         current["serve"]["hit_response_us_p99"] = 4.0
         report = regression_report(current, baseline)
-        assert report["serve"]["baseline_hit_response_us_p50"] is None
-        assert report["serve"]["current_hit_response_us_p99"] == 4.0
-        # A report from before the field existed reads as None.
+        assert _row(report, "serve", "hit_response_us_p50")["baseline"] is None
+        assert _row(report, "serve", "hit_response_us_p99")["current"] == 4.0
+        # A report from before the field existed has no row for it.
         older = regression_report(_report(), baseline)
-        assert older["serve"]["current_hit_response_us_p50"] is None
+        assert _row(older, "serve", "hit_response_us_p50") is None
 
     def test_report_without_serve_section_skips_gate(self):
         current = _report()
         del current["serve"]
         report = regression_report(current, BASELINE)
         assert report["ok"], report["failures"]
-        assert report["serve"] is None
+        assert not [row for row in report["gates"] if row["section"] == "serve"]
 
 
 class TestObsGate:
@@ -151,7 +162,7 @@ class TestObsGate:
         )
         assert not report["ok"]
         assert any("disabled" in f for f in report["failures"])
-        assert report["obs"]["current_disabled_pct"] == (
+        assert _row(report, "obs", "overhead_disabled_pct")["current"] == (
             MAX_DISABLED_OVERHEAD_PCT + 0.5
         )
 
@@ -178,20 +189,18 @@ class TestBatchGate:
 
     def test_batch_ratio_reported(self):
         report = regression_report(_report(batch_tps=1_500_000.0), BASELINE)
-        assert report["batch"]["ratio"] == 1.5
+        row = _row(report, "batch", "transitions_per_sec vs baseline")
+        assert row["value"] == 1.5
         assert report["ok"], report["failures"]
 
     def test_quick_rows_mismatch_reports_but_does_not_gate(self):
         current = _report(batch_tps=100_000.0)
         current["batch"]["rows"] = 256  # quick-mode population
         report = regression_report(current, BASELINE)
-        batch_failures = [
-            f
-            for f in report["failures"]
-            if "batch" in f and "regressed" in f
-        ]
-        assert not batch_failures
-        assert report["batch"]["ratio"] is not None
+        row = _row(report, "batch", "transitions_per_sec vs baseline")
+        assert row["ok"] is None
+        assert not [f for f in report["failures"] if row["metric"] in f]
+        assert row["value"] is not None
 
     def test_mismatch_verdict_fails(self):
         current = copy.deepcopy(_report())
@@ -249,16 +258,111 @@ class TestExperimentSection:
         baseline = dict(BASELINE, experiment={"p50_ms": 10.0})
         report = regression_report(current, baseline)
         assert report["ok"], report["failures"]
-        assert report["experiment"] == {
-            "baseline_p50_ms": 10.0,
-            "current_p50_ms": 9000.0,
-            "current_p99_ms": 9999.0,
-        }
+        p50 = _row(report, "experiment", "p50_ms")
+        assert (p50["baseline"], p50["current"], p50["ok"]) == (
+            10.0, 9000.0, None
+        )
+        assert _row(report, "experiment", "p99_ms")["current"] == 9999.0
 
     def test_baseline_without_the_row_accepted(self):
         current = _report()
         current["experiment"] = {"p50_ms": 8.0, "p99_ms": 12.0}
         report = regression_report(current, BASELINE)
-        assert report["experiment"]["baseline_p50_ms"] is None
-        # A report from before the row existed has no section.
-        assert regression_report(_report(), BASELINE)["experiment"] is None
+        assert _row(report, "experiment", "p50_ms")["baseline"] is None
+        # A report from before the row existed has no rows for it.
+        older = regression_report(_report(), BASELINE)
+        assert _row(older, "experiment", "p50_ms") is None
+
+
+def _healthy():
+    """A synthetic report every gate of the table passes, also when
+    judged against itself (so the host factor is 1)."""
+    report = _report()
+    report["explorer"] = [
+        {"mix": label, "transitions_per_sec": 25000.0}
+        for label, _, _ in EXPLORER_MIXES
+    ]
+    report["matrix"] = {"all_ok": True, "rows_identical": True,
+                        "speedup": 1.0}
+    report["des"] = {"rows_identical": True, "speedup": 1.0}
+    report["serve_batch"] = {"backend": "numpy", "identical": True,
+                             "speedup": 20.0}
+    return report
+
+
+def _set_tps(section, value):
+    for leg in section["backends"].values():
+        leg["transitions_per_sec"] = value
+
+
+def _place(name, gate, report, baseline, value):
+    """Make ``gate`` judge exactly ``value``, touching no other gate."""
+    if name == "explorer":
+        label = gate.metric.split(" transitions_per_sec")[0]
+        for row in report["explorer"]:
+            if row["mix"] == label:
+                row["transitions_per_sec"] = value * 25000.0
+    elif gate.metric == "transitions_per_sec vs baseline":
+        _set_tps(report["batch"], value * 1_000_000.0)
+    elif gate.metric == "transitions_per_sec vs explorer":
+        _set_tps(report["batch"], value * 25000.0)
+        _set_tps(baseline["batch"], value * 25000.0)
+    else:
+        report[name][gate.metric] = value
+
+
+def _edges(gate):
+    """``(just inside, just past)`` the gate's budget."""
+    if gate.op == "==":
+        return True, False
+    step = gate.budget * 1e-3
+    return {
+        ">=": (gate.budget, gate.budget - step),
+        "<=": (gate.budget, gate.budget + step),
+        "<": (gate.budget - step, gate.budget),
+    }[gate.op]
+
+
+GATED = [
+    (section.name, gate)
+    for section in SECTIONS
+    for gate in section.gates
+    if gate.op is not None
+]
+
+
+def test_healthy_report_passes_every_gate():
+    report = regression_report(_healthy(), _healthy())
+    assert report["ok"], report["failures"]
+    judged = {(row["section"], row["metric"]) for row in report["gates"]
+              if row["ok"] is not None}
+    assert judged == {(name, gate.metric) for name, gate in GATED}
+
+
+@pytest.mark.parametrize(
+    "name, gate", GATED, ids=[f"{name}:{gate.metric}" for name, gate in GATED]
+)
+def test_gate_edges(name, gate):
+    inside, past = _edges(gate)
+    for value, ok in ((inside, True), (past, False)):
+        report, baseline = _healthy(), _healthy()
+        _place(name, gate, report, baseline, value)
+        result = regression_report(report, baseline)
+        assert _row(result, name, gate.metric)["ok"] is ok, value
+        if ok:
+            assert result["ok"], result["failures"]
+        else:
+            assert len(result["failures"]) == 1, result["failures"]
+            assert result["failures"][0].startswith(
+                f"{name}: {gate.metric} "
+            )
+
+
+def test_serve_batch_floor_applies_only_on_numpy():
+    report = _healthy()
+    report["serve_batch"].update(
+        backend="python", speedup=MIN_SERVE_BATCH_SPEEDUP / 2
+    )
+    result = regression_report(report, _healthy())
+    assert result["ok"], result["failures"]
+    assert _row(result, "serve_batch", "speedup")["ok"] is None

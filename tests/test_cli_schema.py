@@ -55,6 +55,29 @@ def test_bench_envelope(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "flag,section", [("--batch", "batch"), ("--serve-batch", "serve_batch")]
+)
+def test_bench_section_envelope(capsys, tmp_path, monkeypatch, flag, section):
+    # A section run is judged by its own gates and never writes a report:
+    # quick numbers must not overwrite the full-suite baseline.
+    monkeypatch.chdir(tmp_path)
+    code, envelope = _envelope(
+        capsys,
+        ["bench", flag, "--quick", "--json",
+         "--out", str(tmp_path / "bench.json")],
+    )
+    assert set(envelope) == ENVELOPE_KEYS
+    assert envelope["command"] == "bench"
+    assert code == 0 and envelope["ok"] is True
+    data = envelope["data"]
+    assert section in data and "matrix" not in data
+    assert {row["section"] for row in data["regression"]["gates"]} == {
+        section
+    }
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_envelope_payload(capsys):
     code, envelope = _envelope(
         capsys, ["run", "--protocol", "illinois", "--references", "200",
