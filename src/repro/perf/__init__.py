@@ -11,9 +11,9 @@ keeps a second, serial code path.  This package provides:
 
 * :mod:`repro.perf.pool` -- the only module that fans work over worker
   processes: :func:`~repro.perf.pool.parallel_map` (a deterministic map
-  with graceful serial fallback) over one warm persistent pool with
-  chunked batch scheduling, plus the per-task timeout machinery the
-  serve tier uses;
+  with graceful serial fallback) over one warm persistent pool of forked
+  workers on direct pipes, with chunked batch scheduling, plus the
+  single-job dispatch and per-task timeouts the serve tier uses;
 * :mod:`repro.perf.batch` -- the struct-of-arrays batch kernel: N
   independent systems as parallel integer arrays over the compiled
   transition tables (numpy or pure-Python ``array`` backend),

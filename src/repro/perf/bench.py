@@ -159,22 +159,34 @@ def _bench_explorer(quick: bool) -> tuple[list[dict], float]:
     return rows, round(_CALIBRATION_N / cal_seconds, 1)
 
 
-def _speedup(serial_s: float, parallel_s: float, workers: int) -> dict:
-    """The serial/parallel ratio, or ``None`` and the reason when fewer
-    than two cores can run the parallel leg: there the ratio measures
-    pool overhead, not parallelism."""
+def _speedup(
+    serial_s: float, parallel_s: float, workers: int, pooled_maps: int
+) -> dict:
+    """The serial/parallel ratio, or ``None`` and the reason when the
+    parallel leg did not measure parallelism: with fewer than two usable
+    cores the ratio measures pool overhead, and when no map of the leg
+    reached the pool (``pooled_maps`` is 0) it compares two in-process
+    runs."""
+    from repro.perf.pool import ADAPTIVE_CUTOVER_S
+
     cores = min(os.cpu_count() or 1, workers)
     if cores < 2:
+        note = (f"not measured: {cores} usable core "
+                f"(cpu_count {os.cpu_count()}, workers {workers})")
+    elif not pooled_maps:
+        note = ("not measured: the parallel leg never reached the pool "
+                "(every map projected below the adaptive cutover, "
+                f"ADAPTIVE_CUTOVER_S = {ADAPTIVE_CUTOVER_S:g} s)")
+    else:
         return {
-            "speedup": None,
-            "speedup_note": f"not measured: {cores} usable core "
-                            f"(cpu_count {os.cpu_count()}, workers {workers})",
+            "speedup": round(serial_s / parallel_s, 2) if parallel_s else None
         }
-    return {"speedup": round(serial_s / parallel_s, 2) if parallel_s else None}
+    return {"speedup": None, "speedup_note": note}
 
 
 def _bench_matrix(quick: bool, workers: int) -> dict:
     """The E1 compatibility matrix, serial then pooled, rows compared."""
+    from repro.perf.pool import pool_stats
     from repro.verify.mixes import (
         class_member_mixes,
         homogeneous_foreign,
@@ -189,39 +201,44 @@ def _bench_matrix(quick: bool, workers: int) -> dict:
     start = time.perf_counter()
     serial_rows = run_matrix(cases)
     serial_s = time.perf_counter() - start
+    maps = pool_stats()["maps"]
     start = time.perf_counter()
     parallel_rows = run_matrix(cases, workers=workers)
     parallel_s = time.perf_counter() - start
+    pooled_maps = pool_stats()["maps"] - maps
     return {
         "cases": len(cases),
         "all_ok": all(r["ok"] for r in serial_rows),
         "rows_identical": serial_rows == parallel_rows,
         "serial_s": round(serial_s, 4),
         "parallel_s": round(parallel_s, 4),
-        **_speedup(serial_s, parallel_s, workers),
+        **_speedup(serial_s, parallel_s, workers, pooled_maps),
     }
 
 
 def _bench_des(quick: bool, workers: int) -> dict:
     """The E2 protocol-comparison sweep, serial then pooled."""
     from repro.analysis.compare import protocol_comparison
+    from repro.perf.pool import pool_stats
 
     references = 1000 if quick else 4000
     start = time.perf_counter()
     serial_rows = protocol_comparison(references=references)
     serial_s = time.perf_counter() - start
+    maps = pool_stats()["maps"]
     start = time.perf_counter()
     parallel_rows = protocol_comparison(
         references=references, workers=workers
     )
     parallel_s = time.perf_counter() - start
+    pooled_maps = pool_stats()["maps"] - maps
     return {
         "protocols": len(serial_rows),
         "references": references,
         "rows_identical": serial_rows == parallel_rows,
         "serial_s": round(serial_s, 4),
         "parallel_s": round(parallel_s, 4),
-        **_speedup(serial_s, parallel_s, workers),
+        **_speedup(serial_s, parallel_s, workers, pooled_maps),
     }
 
 

@@ -18,22 +18,36 @@ builds on.  Guarantees:
 Worker exceptions propagate to the caller in both modes, so parallel and
 serial execution are observationally equivalent (modulo wall time).
 
-Underneath, **one process-wide pool** stays alive across calls:
+Underneath, **one process-wide pool** of forked workers stays alive
+across calls:
 
-* it is started lazily on first use and reused by every subsequent map
-  (grown in place if a later call asks for more workers, restarted when
-  ``set_fast_tables`` bumps the tables epoch);
-* it is shut down via :mod:`atexit`, and a forked child silently drops
-  the inherited handle instead of tearing down its parent's workers;
+* each worker is a forked process on one duplex pipe, looping
+  ``recv_bytes -> call -> send_bytes((ok, value))``.  A caller checks
+  workers out of one thread-safe idle set and talks to them directly, so
+  a job passes through no hand-off thread on either side.  Being forked,
+  the workers inherit whatever the parent set up before the pool
+  started (span wrappers, lowered tables);
+* the pool starts lazily on first use and is reused by every later map
+  and dispatch (replaced by a larger one if a later call asks for more
+  workers, restarted when ``set_fast_tables`` bumps the tables epoch);
+* it is shut down via :mod:`atexit` with every worker reaped, and a
+  forked child silently drops the inherited handle instead of touching
+  its parent's workers;
 * items are submitted in **chunks** of roughly
-  ``len(items) / (4 * workers)`` so each future carries a batch and the
+  ``len(items) / (4 * workers)`` so each message carries a batch and the
   per-item pickle/dispatch overhead is amortized, while keeping enough
   chunks in flight for load balancing;
-* :func:`run_chunked` and :func:`dispatch_one` take a per-task timeout:
-  the stuck workers are **terminated** (not joined), so a hung task costs
-  the caller ``timeout_s``, not the task's full runtime, and the next map
-  starts from a fresh pool.  The serve tier's request deadlines ride on
-  this.
+* a worker whose caller stopped waiting -- a timeout, an exception or an
+  interrupt -- is **killed** (not joined first) and replaced, never put
+  back in the idle set where its late reply would answer the next
+  caller.  :func:`run_chunked` and :func:`dispatch_one` take a per-task
+  timeout on this, so a hung task costs the caller ``timeout_s``, not the
+  task's full runtime; the serve tier's request deadlines ride on it;
+* a worker that dies mid-job is replaced as well: :func:`dispatch_one`
+  then runs that job in-process (counted in ``dispatch_degraded``) and
+  :func:`parallel_map` finishes its map serially.  A return value or
+  exception that cannot be pickled comes back as an error, and the
+  worker keeps serving.
 """
 
 from __future__ import annotations
@@ -41,20 +55,23 @@ from __future__ import annotations
 import atexit
 import os
 import pickle
+import threading
 import time
 import warnings
-from concurrent.futures import FIRST_COMPLETED, wait
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar
 
 from repro.core.transitions import tables_epoch
 
 if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing.connection import Connection
+    from multiprocessing.process import BaseProcess
 
 __all__ = [
     "ADAPTIVE_CUTOVER_S",
     "DEFAULT_MAX_WORKERS",
     "ParallelTimeoutError",
+    "WorkerLostError",
+    "WorkerPool",
     "default_chunk_size",
     "dispatch_one",
     "get_executor",
@@ -99,6 +116,11 @@ class ParallelTimeoutError(TimeoutError):
         self.timeout_s = timeout_s
 
 
+class WorkerLostError(RuntimeError):
+    """A pool worker exited before answering its job, or its pool was
+    shut down under the caller."""
+
+
 def resolve_workers(workers: Optional[int] = None) -> int:
     """The effective worker count: explicit, else cpu-bounded default."""
     if workers is not None:
@@ -112,12 +134,209 @@ def default_chunk_size(n_items: int, workers: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Workers on direct pipes.
+# ---------------------------------------------------------------------------
+class _RemoteTraceback(Exception):
+    """The worker-side traceback, chained as ``__cause__`` of a re-raised
+    worker exception."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+def _failure(error: BaseException) -> tuple:
+    import traceback
+
+    return error, "".join(
+        traceback.format_exception(type(error), error, error.__traceback__)
+    )
+
+
+def _dumps(obj: object) -> bytes:
+    return pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+
+
+def _serve(conn: Connection, inherited: list) -> None:
+    """Worker body: answer each ``(fn, chunk)`` message with
+    ``(True, results)`` or ``(False, (exception, traceback))`` until the
+    parent hangs up."""
+    import signal
+
+    # The parent owns this process's lifetime: Ctrl-C reaches it, and it
+    # kills workers whose callers stopped waiting.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # Copies of the parent's pipe ends, so that closing one in the parent
+    # is an EOF for its worker.
+    for other in inherited:
+        other.close()
+    while True:
+        try:
+            request = conn.recv_bytes()
+        except EOFError:
+            return
+        try:
+            fn, chunk = pickle.loads(request)
+            reply = (True, [fn(item) for item in chunk])
+        except BaseException as error:  # the caller re-raises it
+            reply = (False, _failure(error))
+        try:
+            data = _dumps(reply)
+        except Exception as error:  # the value or exception won't pickle
+            data = _dumps((False, _failure(error)))
+        try:
+            conn.send_bytes(data)
+        except OSError:  # the parent is gone
+            return
+
+
+class _Worker:
+    """One forked worker: its process and the parent's end of its pipe.
+    ``pending`` is set from a job's send until its reply is read."""
+
+    __slots__ = ("process", "conn", "pending")
+
+    def __init__(self, process: BaseProcess, conn: Connection) -> None:
+        self.process = process
+        self.conn = conn
+        self.pending = False
+
+    def send(self, fn: Callable, chunk: list) -> None:
+        data = _dumps((fn, chunk))  # a pickling error leaves it idle
+        self.pending = True
+        try:
+            self.conn.send_bytes(data)
+        except OSError as error:
+            raise WorkerLostError(
+                f"pool worker {self.process.pid} is gone"
+            ) from error
+
+    def receive(self) -> list:
+        """The job's results; re-raises the job's exception."""
+        try:
+            data = self.conn.recv_bytes()
+        except (EOFError, OSError) as error:
+            raise WorkerLostError(
+                f"pool worker {self.process.pid} exited mid-job"
+            ) from error
+        self.pending = False
+        ok, value = pickle.loads(data)
+        if ok:
+            return value
+        error, remote = value
+        error.__cause__ = _RemoteTraceback(remote)
+        raise error
+
+    def stop(self, kill: bool) -> None:
+        """Reap the worker: killed outright, or let go by closing its
+        pipe (the kill is then only a fallback)."""
+        if kill:
+            self.process.kill()
+        self.conn.close()
+        self.process.join(None if kill else 1.0)
+        if self.process.exitcode is None:
+            self.process.kill()
+            self.process.join()
+
+
+class WorkerPool:
+    """Forked workers and the idle set callers check them out of.
+
+    Thread-safe: the serve daemon's dispatch threads share one pool.
+    Raises ``OSError``/``ValueError`` when processes cannot be forked
+    here."""
+
+    def __init__(self, size: int) -> None:
+        import multiprocessing
+
+        self.size = size
+        self._context = multiprocessing.get_context("fork")
+        self._cond = threading.Condition()
+        self._idle: list[_Worker] = []
+        self._busy: set[_Worker] = set()
+        self._closed = False
+        try:
+            with self._cond:
+                for _ in range(size):
+                    self._idle.append(self._spawn())
+        except BaseException:
+            self.close()
+            raise
+
+    def _spawn(self) -> _Worker:
+        """Fork one worker (called with the condition held)."""
+        conn, child_conn = self._context.Pipe()
+        inherited = [conn] + [w.conn for w in (*self._idle, *self._busy)]
+        process = self._context.Process(
+            target=_serve, args=(child_conn, inherited),
+            name="repro-pool-worker",
+        )
+        try:
+            process.start()
+        finally:
+            child_conn.close()
+        return _Worker(process, conn)
+
+    def pids(self) -> list[int]:
+        with self._cond:
+            return sorted(w.process.pid for w in (*self._idle, *self._busy))
+
+    def checkout(self, count: int, timeout_s: Optional[float]) -> list[_Worker]:
+        """Up to ``count`` idle workers, waiting at most ``timeout_s`` for
+        the first (:class:`ParallelTimeoutError` for task #0 after)."""
+        with self._cond:
+            if not self._cond.wait_for(
+                lambda: self._idle or self._closed, timeout_s
+            ):
+                raise ParallelTimeoutError(0, timeout_s or 0.0)
+            if self._closed:
+                raise WorkerLostError("the pool was shut down")
+            # Last in, first out: the worker that ran the last job is
+            # the warmest.  Serial experiment misses ran about 7% faster
+            # on one worker than alternating between two.
+            taken = self._idle[-count:]
+            del self._idle[-count:]
+            self._busy.update(taken)
+            return taken
+
+    def checkin(self, workers: list[_Worker]) -> None:
+        """Give workers back.  One still owing a reply is killed and
+        replaced: its caller stopped waiting, or it died."""
+        with self._cond:
+            for worker in workers:
+                self._busy.discard(worker)
+                if worker.pending or self._closed:
+                    worker.stop(kill=worker.pending)
+                    if not self._closed:
+                        self._idle.append(self._spawn())
+                        _stats["pool_starts"] += 1
+                else:
+                    self._idle.append(worker)
+            self._cond.notify_all()
+
+    def close(self, wait: bool = False) -> None:
+        """Reap every worker.  Checked-out workers are killed (their
+        callers find them lost), or with ``wait`` first given back."""
+        with self._cond:
+            self._closed = True
+            if wait:
+                self._cond.wait_for(lambda: not self._busy)
+            idle, self._idle = self._idle, []
+            busy = list(self._busy)
+            self._cond.notify_all()
+        for worker in busy:
+            worker.process.kill()
+            worker.process.join()
+        for worker in idle:
+            worker.stop(kill=False)
+
+
+# ---------------------------------------------------------------------------
 # The process-wide warm pool.
 # ---------------------------------------------------------------------------
-_executor: Optional[ProcessPoolExecutor] = None
-_executor_workers: int = 0
-_executor_pid: Optional[int] = None
-_executor_epoch: int = -1
+_pool: Optional[WorkerPool] = None
+_pool_pid = os.getpid()
+_pool_epoch = -1
+_lock = threading.Lock()
 _atexit_registered = False
 _stats = {
     "pool_starts": 0,
@@ -144,48 +363,42 @@ def note_batch_dispatch(rows: int) -> None:
     _stats["batch_dispatch_rows"] += rows
 
 
-def get_executor(workers: int) -> ProcessPoolExecutor:
+def get_executor(workers: int) -> WorkerPool:
     """The shared pool, started lazily and reused across calls.
 
     A pool smaller than ``workers`` is replaced by one sized to the
     larger request (never shrunk: idle workers are cheap, forking is
-    not).  Raises ``OSError``/``ValueError`` when process pools cannot
-    run in this environment (restricted sandboxes) -- callers fall back
-    to serial execution.
+    not).  Raises ``OSError``/``ValueError`` when worker processes
+    cannot run in this environment (restricted sandboxes) -- callers
+    fall back to serial execution.
     """
-    global _executor, _executor_workers, _executor_pid, _executor_epoch
-    global _atexit_registered
-    # Loaded here, not at import: it pulls in multiprocessing, which a
-    # map that stays in-process never needs.
-    from concurrent.futures import ProcessPoolExecutor
-
+    global _pool, _pool_pid, _pool_epoch, _lock, _atexit_registered
+    if _pool_pid != os.getpid():
+        # Forked child: the handle, and perhaps a held lock, belong to
+        # the parent.  Drop them without touching the parent's workers.
+        _pool, _pool_pid, _lock = None, os.getpid(), threading.Lock()
     workers = max(1, workers)
-    if _executor is not None and _executor_pid != os.getpid():
-        # Forked child: the handle belongs to the parent.  Drop it
-        # without shutdown -- a shutdown would poison the parent's pool.
-        _executor = None
-        _executor_workers = 0
-    if _executor is not None and _executor_epoch != tables_epoch():
-        # set_fast_tables was toggled after the workers forked: they
-        # froze the old compiled-table setting.  Restart, don't reuse.
-        _stats["pool_refreshes"] += 1
-        shutdown_pool(wait=False)
-    if _executor is not None:
-        if _executor_workers >= workers:
-            _stats["pool_reuses"] += 1
-            return _executor
-        workers = max(workers, _executor_workers)
-        shutdown_pool(wait=False)
-    executor = ProcessPoolExecutor(max_workers=workers)
-    _executor = executor
-    _executor_workers = workers
-    _executor_pid = os.getpid()
-    _executor_epoch = tables_epoch()
-    _stats["pool_starts"] += 1
-    if not _atexit_registered:
-        atexit.register(shutdown_pool)
-        _atexit_registered = True
-    return executor
+    with _lock:
+        if _pool is not None and _pool_epoch != tables_epoch():
+            # set_fast_tables was toggled after the workers forked: they
+            # froze the old compiled-table setting.  Restart, don't reuse.
+            _stats["pool_refreshes"] += 1
+            _pool.close()
+            _pool = None
+        if _pool is not None:
+            if _pool.size >= workers:
+                _stats["pool_reuses"] += 1
+                return _pool
+            workers = max(workers, _pool.size)
+            _pool.close()
+            _pool = None
+        _pool = WorkerPool(workers)
+        _pool_epoch = tables_epoch()
+        _stats["pool_starts"] += 1
+        if not _atexit_registered:
+            atexit.register(shutdown_pool)
+            _atexit_registered = True
+        return _pool
 
 
 def warm_pool(workers: Optional[int] = None) -> int:
@@ -202,39 +415,18 @@ def warm_pool(workers: Optional[int] = None) -> int:
 def shutdown_pool(wait: bool = False) -> None:
     """Shut down the warm pool (no-op if none is running).
 
-    Called automatically at interpreter exit; callers invalidate the
-    pool explicitly after a :class:`BrokenProcessPool` or a timeout so
-    the next map starts fresh.  Long-lived embedders can call it to
-    release the worker processes early.
+    Every worker is reaped before this returns; a checked-out worker is
+    killed, unless ``wait`` lets its job finish first.  Called
+    automatically at interpreter exit; long-lived embedders can call it
+    to release the worker processes early.
     """
-    global _executor, _executor_workers, _executor_pid
-    executor, _executor = _executor, None
-    _executor_workers = 0
-    _executor_pid = None
-    if executor is not None:
-        executor.shutdown(wait=wait, cancel_futures=True)
-
-
-def _terminate_workers(executor: ProcessPoolExecutor) -> None:
-    """Kill the pool's worker processes outright (timeout recovery).
-
-    ``shutdown(wait=False)`` alone leaves a stuck worker running to
-    completion in the background; terminating makes the cost of a hung
-    task the timeout, not the task."""
-    try:
-        processes = list((executor._processes or {}).values())
-    except Exception:  # pragma: no cover - implementation detail moved
-        processes = []
-    for process in processes:
-        try:
-            process.terminate()
-        except Exception:  # pragma: no cover - already dead
-            pass
-
-
-def _run_chunk(fn: Callable[[T], R], chunk: Sequence[T]) -> list[R]:
-    """Worker-side body: map one chunk in-process (top-level: picklable)."""
-    return [fn(item) for item in chunk]
+    global _pool
+    if _pool_pid != os.getpid():
+        return  # a forked child never stops its parent's workers
+    with _lock:
+        pool, _pool = _pool, None
+    if pool is not None:
+        pool.close(wait)
 
 
 def run_chunked(
@@ -242,24 +434,27 @@ def run_chunked(
     items: Sequence[T],
     workers: int,
     *,
-    executor: Optional[ProcessPoolExecutor] = None,
+    executor: Optional[WorkerPool] = None,
     timeout_s: Optional[float] = None,
 ) -> list[R]:
     """Map ``fn`` over ``items`` on the warm pool in chunked batches.
 
-    Results come back in input order regardless of completion order, so
-    the output is byte-identical to ``[fn(x) for x in items]`` for pure
-    ``fn``.  Worker exceptions propagate; ``BrokenProcessPool``
-    propagates for the caller's serial fallback.  When no chunk
-    completes within ``timeout_s`` the earliest pending task index is
-    reported via :class:`ParallelTimeoutError`, the stuck workers are
-    terminated and the pool is invalidated.
+    Checks out up to ``workers`` workers and hands each the next chunk
+    as it answers.  Results come back in input order regardless of
+    completion order, so the output is byte-identical to
+    ``[fn(x) for x in items]`` for pure ``fn``.  Worker exceptions
+    propagate; :class:`WorkerLostError` propagates for the caller's
+    serial fallback.  When no chunk completes within ``timeout_s`` the
+    earliest running chunk's first task index is reported via
+    :class:`ParallelTimeoutError`; the workers still running are killed
+    and replaced.
     """
+    from multiprocessing.connection import wait
+
     items = list(items)
     if not items:
         return []
-    if executor is None:
-        executor = get_executor(workers)
+    pool = executor if executor is not None else get_executor(workers)
     chunk_size = default_chunk_size(len(items), workers)
     chunks = [
         items[start:start + chunk_size]
@@ -267,32 +462,34 @@ def run_chunked(
     ]
     _stats["maps"] += 1
     _stats["chunks"] += len(chunks)
-    futures = {
-        executor.submit(_run_chunk, fn, chunk): index
-        for index, chunk in enumerate(chunks)
-    }
-    results: dict[int, list[R]] = {}
-    pending = set(futures)
-    while pending:
-        done, pending = wait(
-            pending, timeout=timeout_s, return_when=FIRST_COMPLETED
-        )
-        if not done:
-            # Nothing finished within the window: the earliest
-            # still-pending chunk's first task is declared stuck.
-            stuck_chunk = min(futures[f] for f in pending)
-            for future in pending:
-                future.cancel()
-            _terminate_workers(executor)
-            shutdown_pool(wait=False)
-            raise ParallelTimeoutError(
-                stuck_chunk * chunk_size, timeout_s or 0.0
-            )
-        for future in done:
-            results[futures[future]] = future.result()
-    return [
-        result for index in range(len(chunks)) for result in results[index]
-    ]
+    taken = pool.checkout(min(workers, len(chunks)), timeout_s)
+    results: list = [None] * len(chunks)
+    running: dict = {}  # connection -> (worker, chunk index)
+    sent = 0
+    try:
+        for worker in taken:
+            worker.send(fn, chunks[sent])
+            running[worker.conn] = (worker, sent)
+            sent += 1
+        while running:
+            ready = wait(list(running), timeout_s)
+            if not ready:
+                # Nothing finished within the window: the earliest
+                # running chunk's first task is declared stuck.
+                stuck = min(index for _, index in running.values())
+                raise ParallelTimeoutError(
+                    stuck * chunk_size, timeout_s or 0.0
+                )
+            for conn in ready:
+                worker, index = running.pop(conn)
+                results[index] = worker.receive()
+                if sent < len(chunks):
+                    worker.send(fn, chunks[sent])
+                    running[conn] = (worker, sent)
+                    sent += 1
+    finally:
+        pool.checkin(taken)
+    return [result for chunk in results for result in chunk]
 
 
 def dispatch_one(
@@ -302,31 +499,42 @@ def dispatch_one(
     timeout_s: Optional[float] = None,
     workers: Optional[int] = None,
 ) -> R:
-    """Run one task on the warm pool with the per-task timeout machinery.
+    """Run one task on one worker of the warm pool, with a timeout.
 
     The single-job entry point the serve tier multiplexes requests
-    through: each job is one chunk of one item, so a stuck job is
-    terminated after ``timeout_s`` exactly like a stuck map chunk
-    (:class:`ParallelTimeoutError`, workers killed, pool invalidated).
-    Environments whose sandbox forbids process pools degrade to an
-    in-process call -- the result is identical, but the deadline is then
-    best-effort only (nothing can terminate the caller's own process).
-    Worker exceptions propagate.
+    through: the caller checks out one worker and blocks on its pipe,
+    so a stuck job raises :class:`ParallelTimeoutError` after
+    ``timeout_s`` (counted from the call) and its worker is killed and
+    replaced.  A worker that dies mid-job is replaced and the job runs
+    in-process (``dispatch_degraded``), as it does where the sandbox
+    forbids worker processes -- the result is identical, but the
+    deadline is then best-effort only (nothing can terminate the
+    caller's own process).  Worker exceptions propagate.
     """
     _stats["dispatches"] += 1
     try:
-        executor = get_executor(resolve_workers(workers))
+        pool = get_executor(resolve_workers(workers))
     except (OSError, ValueError):
-        executor = None
-    if executor is not None:
-        from concurrent.futures.process import BrokenProcessPool
-
+        pool = None
+    if pool is not None:
+        _stats["maps"] += 1
+        _stats["chunks"] += 1
+        deadline = None if timeout_s is None else time.monotonic() + timeout_s
         try:
-            return run_chunked(
-                fn, [item], 1, executor=executor, timeout_s=timeout_s
-            )[0]
-        except BrokenProcessPool:
-            shutdown_pool(wait=False)
+            (worker,) = pool.checkout(1, timeout_s)
+            try:
+                worker.send(fn, [item])
+                remaining = (
+                    None if deadline is None
+                    else max(0.0, deadline - time.monotonic())
+                )
+                if not worker.conn.poll(remaining):
+                    raise ParallelTimeoutError(0, timeout_s or 0.0)
+                return worker.receive()[0]
+            finally:
+                pool.checkin([worker])
+        except WorkerLostError:
+            pass
     _stats["dispatch_degraded"] += 1
     return fn(item)
 
@@ -419,18 +627,15 @@ def _map(fn: Callable[[T], R], items: list[T], workers: int) -> list[R]:
     items = items[1:]
     workers = min(workers, len(items))
     try:
-        executor = get_executor(workers)
-    except (OSError, ValueError):  # restricted sandbox / no semaphores
+        pool = get_executor(workers)
+    except (OSError, ValueError):  # restricted sandbox / no fork
         _warn_degrade("pool-start", "process pool unavailable here")
         return head + _serial_map(fn, items)
-    from concurrent.futures.process import BrokenProcessPool
-
     try:
-        return head + run_chunked(fn, items, workers, executor=executor)
-    except BrokenProcessPool:
-        # A worker died (OOM, signal): invalidate the warm pool and redo
-        # the rest of the map serially so the caller still gets
+        return head + run_chunked(fn, items, workers, executor=pool)
+    except WorkerLostError:
+        # A worker died (OOM, signal) and has been replaced: redo the
+        # rest of the map serially so the caller still gets
         # deterministic, complete results.
-        shutdown_pool(wait=False)
         _warn_degrade("broken-pool", "a worker process died mid-map")
         return head + _serial_map(fn, items)

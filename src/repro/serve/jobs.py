@@ -84,8 +84,8 @@ def dispatch_job(
     """Run one job on the warm pool with a per-request deadline.
 
     Raises :class:`repro.perf.pool.ParallelTimeoutError` when the job
-    overruns ``deadline_s`` (the stuck worker is terminated and the pool
-    invalidated, so one runaway request cannot wedge the daemon)."""
+    overruns ``deadline_s`` (the stuck worker is killed and replaced, so
+    one runaway request cannot wedge the daemon)."""
     from repro.perf.pool import dispatch_one
 
     return dispatch_one(

@@ -21,9 +21,8 @@ Dispatch runs the blocking pool call on the loop's default thread-pool
 executor, so the event loop keeps serving status requests and cache
 hits while jobs compute.  Deadlines ride the pool's per-task timeout
 machinery (:func:`repro.perf.pool.dispatch_one`): an overrun job's
-workers are terminated, the daemon answers
-``{"ok": false, "error": "deadline"}``, and the next job gets a fresh
-pool.
+worker is killed and replaced, and the daemon answers
+``{"ok": false, "error": "deadline"}``.
 
 Continuous batching
 -------------------

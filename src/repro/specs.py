@@ -189,15 +189,18 @@ class WorkloadSpec(_SpecBase):
         """Embed an existing :class:`repro.workloads.trace.Trace`.
 
         The trace's own records are frozen values, so they are shared,
-        not copied."""
-        return cls(source="literal", records=tuple(trace))
+        not copied.  Its unit order rides along outside the fields (like
+        the cached canonical string), so :meth:`build` need not scan."""
+        spec = cls(source="literal", records=tuple(trace))
+        object.__setattr__(spec, "_units", tuple(trace.units()))
+        return spec
 
     def build(self):
         """Materialize the :class:`~repro.workloads.trace.Trace`."""
         from repro.workloads.trace import Trace
 
         if self.source == "literal":
-            return Trace(self.records)
+            return Trace(self.records, units=self.__dict__.get("_units"))
         from repro.workloads.synthetic import SyntheticConfig, SyntheticWorkload
 
         config = SyntheticConfig(

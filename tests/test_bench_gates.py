@@ -366,3 +366,33 @@ def test_serve_batch_floor_applies_only_on_numpy():
     result = regression_report(report, _healthy())
     assert result["ok"], result["failures"]
     assert _row(result, "serve_batch", "speedup")["ok"] is None
+
+
+@pytest.mark.parametrize("section", ["_bench_matrix", "_bench_des"])
+class TestParallelLegSpeedup:
+    """A matrix/DES speedup is a number only when the parallel leg ran on
+    the pool; a leg the adaptive cutover kept in-process says so."""
+
+    def test_in_process_leg_is_not_measured(self, section, monkeypatch):
+        import repro.perf.pool as pool_mod
+        from repro.perf import bench
+
+        monkeypatch.setattr(pool_mod.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(pool_mod, "ADAPTIVE_CUTOVER_S", 1e9)
+        before = pool_mod.pool_stats()["maps"]
+        result = getattr(bench, section)(True, 2)
+        assert pool_mod.pool_stats()["maps"] == before
+        assert result["rows_identical"] is True
+        assert result["speedup"] is None
+        assert "adaptive cutover" in result["speedup_note"]
+
+    def test_pooled_leg_is_measured(self, section, force_pool):
+        import repro.perf.pool as pool_mod
+        from repro.perf import bench
+
+        before = pool_mod.pool_stats()["maps"]
+        result = getattr(bench, section)(True, 2)
+        assert pool_mod.pool_stats()["maps"] > before
+        assert result["rows_identical"] is True
+        assert result["speedup"] > 0
+        assert "speedup_note" not in result

@@ -11,7 +11,11 @@ task's full runtime.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import signal
+import sys
+import threading
 import time
 import warnings
 
@@ -271,3 +275,166 @@ def test_parallel_at_least_as_fast_as_serial_on_multicore():
     parallel_s = time.perf_counter() - start
     assert pooled == serial
     assert parallel_s <= serial_s * 1.10
+
+
+def _pid(_):
+    return os.getpid()
+
+
+def _parent_pid(_):
+    return os.getppid()
+
+
+def _sleep_then_echo(job):
+    seconds, value = job
+    time.sleep(seconds)
+    return value
+
+
+def _unpicklable(_):
+    return threading.Lock()
+
+
+class TestWorkers:
+    """The jobs the worker processes must do on their own: replace a dead
+    worker, never hand a late reply to the next caller, serve threads
+    concurrently, and carry errors back without dying."""
+
+    def test_killed_worker_runs_degraded_then_is_replaced(self):
+        shutdown_pool()
+        pool = get_executor(1)
+        (victim,) = pool.pids()
+        before = pool_stats()
+        killer = threading.Timer(0.3, os.kill, (victim, signal.SIGKILL))
+        killer.start()
+        try:
+            # The job outlives its worker, so it reruns in-process.
+            assert dispatch_one(_sleep_then_echo, (1.0, "done"),
+                                workers=1) == "done"
+        finally:
+            killer.cancel()
+        after = pool_stats()
+        assert after["dispatch_degraded"] == before["dispatch_degraded"] + 1
+        assert after["pool_starts"] == before["pool_starts"] + 1
+        # A deadline, so a pool left without its worker fails, not hangs.
+        replacement = dispatch_one(_pid, None, timeout_s=10.0, workers=1)
+        assert replacement != victim
+        assert get_executor(1).pids() == [replacement]
+        assert pool_stats()["dispatch_degraded"] == after["dispatch_degraded"]
+        shutdown_pool()
+
+    def test_late_reply_never_answers_the_next_caller(self):
+        shutdown_pool()
+        with pytest.raises(ParallelTimeoutError):
+            dispatch_one(_sleep_then_echo, (1.0, "slow"), timeout_s=0.2,
+                         workers=1)
+        # One worker: the next job goes wherever the slow one went.
+        for value in ("fast", "faster"):
+            assert dispatch_one(_sleep_then_echo, (0.0, value),
+                                timeout_s=5.0, workers=1) == value
+        time.sleep(1.0)  # past the moment the slow job would reply
+        assert dispatch_one(_sleep_then_echo, (0.0, "last"),
+                            timeout_s=5.0, workers=1) == "last"
+        shutdown_pool()
+
+    def test_threads_get_their_own_results(self):
+        shutdown_pool()
+        get_executor(2)
+        errors = []
+
+        def caller(thread):
+            for round_ in range(15):
+                value = (thread, round_)
+                got = dispatch_one(_sleep_then_echo, (0.005, value),
+                                   workers=2)
+                if got != value:
+                    errors.append((value, got))
+
+        threads = [threading.Thread(target=caller, args=(t,))
+                   for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the callers finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(get_executor(2).pids()) == 2
+        shutdown_pool()
+
+    def test_concurrent_first_dispatches_start_one_pool(self):
+        shutdown_pool()
+        before = pool_stats()["pool_starts"]
+        barrier = threading.Barrier(2)
+
+        def caller():
+            barrier.wait()
+            dispatch_one(_square, 2, timeout_s=10.0, workers=2)
+
+        threads = [threading.Thread(target=caller) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert pool_stats()["pool_starts"] == before + 1
+        shutdown_pool()
+
+    def test_worker_exception_keeps_type_and_message(self):
+        with pytest.raises(ValueError, match="boom on 7"):
+            dispatch_one(_boom, 7, workers=1)
+        with pytest.raises(ValueError, match="boom on 3"):
+            run_chunked(_boom, [3], 2)
+
+    def test_unpicklable_result_is_an_error_and_worker_survives(self):
+        shutdown_pool()
+        pids = get_executor(1).pids()
+        starts = pool_stats()["pool_starts"]
+        with pytest.raises(TypeError, match="pickle"):
+            dispatch_one(_unpicklable, None, workers=1)
+        assert dispatch_one(_pid, None, timeout_s=10.0, workers=1) == pids[0]
+        assert pool_stats()["pool_starts"] == starts
+        shutdown_pool()
+
+    def test_no_child_outlives_shutdown(self):
+        shutdown_pool()
+        pids = get_executor(2).pids()
+        assert dispatch_one(_square, 3, workers=2) == 9
+        shutdown_pool()
+        assert multiprocessing.active_children() == []
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)  # reaped, not a zombie
+
+    def test_forked_child_starts_its_own_workers(self):
+        parent_pids = get_executor(2).pids()
+        child = os.fork()
+        if child == 0:  # pragma: no cover - runs in the child
+            code = 1
+            try:
+                starts = pool_stats()["pool_starts"]
+                owners = run_chunked(_parent_pid, [0, 1, 2, 3], 2)
+                own = (owners == [os.getpid()] * 4
+                       and pool_stats()["pool_starts"] == starts + 1)
+                shutdown_pool()
+                code = 0 if own else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30
+        while True:
+            done, status = os.waitpid(child, os.WNOHANG)
+            if done or time.monotonic() > deadline:
+                break
+            time.sleep(0.05)
+        if not done:
+            os.kill(child, signal.SIGKILL)
+            os.waitpid(child, 0)
+        assert done and os.waitstatus_to_exitcode(status) == 0
+        # The parent's workers were neither used up nor stopped.
+        assert get_executor(2).pids() == parent_pids
+        assert run_chunked(_parent_pid, [0, 1], 2) == [os.getpid()] * 2
+        shutdown_pool()

@@ -109,3 +109,39 @@ class TestIO:
         original = Trace([ReferenceRecord("cpu0", Op.WRITE, 96)])
         original.save(path)
         assert Trace.load(path).records == original.records
+
+
+def _producer_traces():
+    from repro.workloads import kernels, patterns
+    from repro.workloads.spatial import SpatialConfig, SpatialWorkload
+    from repro.workloads.synthetic import SyntheticConfig, SyntheticWorkload
+
+    return {
+        "ping_pong": patterns.ping_pong(rounds=20, processors=3),
+        "producer_consumer": patterns.producer_consumer(items=10),
+        "read_mostly": patterns.read_mostly(references=80),
+        "migratory": patterns.migratory(handoffs=10),
+        "private_streams": patterns.private_streams(20),
+        "stencil": kernels.stencil_trace(iterations=2),
+        "reduction": kernels.reduction_trace(elements_per_processor=4),
+        "spinlock": kernels.spinlock_trace(acquisitions_per_processor=2),
+        "spatial": SpatialWorkload(SpatialConfig(), seed=5).trace(300),
+        "synthetic": SyntheticWorkload(SyntheticConfig(), seed=5).trace(300),
+    }
+
+
+@pytest.mark.parametrize("producer", sorted(_producer_traces()))
+def test_literal_workload_keeps_the_producer_unit_order(producer):
+    """A literal spec carries its trace's unit order into every build,
+    and that order is the records' first-appearance order."""
+    from repro.specs import WorkloadSpec
+
+    trace = _producer_traces()[producer]
+    scan = list(dict.fromkeys(record.unit for record in trace))
+    spec = WorkloadSpec.literal(trace)
+    assert spec.build().units() == scan
+    # The carried order is not a field: equality, hashing and the dict
+    # form match a spec parsed back from that dict, which scans.
+    parsed = WorkloadSpec.from_dict(spec.to_dict())
+    assert parsed == spec and parsed.content_hash() == spec.content_hash()
+    assert parsed.build().units() == scan
