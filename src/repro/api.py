@@ -55,7 +55,7 @@ from repro.specs import (
     spec_from_canonical,
     spec_from_dict,
 )
-from repro.system.stats import SystemReport
+from repro.system.stats import SystemReport, _trace_get, _trace_set
 from repro.system.system import BoardSpec, System
 from repro.workloads.trace import Trace
 
@@ -119,28 +119,12 @@ class ExperimentResult:
         return self.report.to_json()
 
 
-def _result_trace_get(self) -> Optional[list]:
-    value = self._trace_value
-    if value is None or isinstance(value, list):
-        return value
-    tracer, count = value
-    events = tracer.export()
-    if len(events) > count:
-        events = events[:count]
-    self._trace_value = events
-    return events
-
-
-def _result_trace_set(self, value) -> None:
-    self._trace_value = value
-
-
-#: Same lazy-trace contract as :class:`repro.system.stats.SystemReport`:
+#: The lazy-trace property of :class:`repro.system.stats.SystemReport`:
 #: a traced run hands the result a cheap handle, and the export encoding
 #: is paid when (and only when) ``result.trace`` is read.
 ExperimentResult.trace = property(  # type: ignore[assignment]
-    _result_trace_get,
-    _result_trace_set,
+    _trace_get,
+    _trace_set,
     doc="Exported structured trace events, or None if tracing was off.",
 )
 

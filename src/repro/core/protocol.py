@@ -281,8 +281,7 @@ class TableProtocol(Protocol):
     #: Fallback for bus events absent from :attr:`snoop_transitions`.
     snoop_default_to_class: bool = False
     #: Lazily compiled flat tables (see :mod:`repro.core.transitions`):
-    #: ``(local, snoop)`` tuples indexed by interned state/event codes,
-    #: or ``False`` when the fast path is disabled for this instance.
+    #: ``(local, snoop)`` tuples indexed by interned state/event codes.
     _fast_tables = None
 
     def _compile_fast_tables(self):
@@ -291,14 +290,8 @@ class TableProtocol(Protocol):
         Instances that drive their class's own mappings share one
         verified pair per class (:data:`_SHARED_FAST_TABLES`); an
         instance that sets its own mappings compiles its own."""
-        from repro.core.transitions import (
-            compile_deterministic,
-            fast_tables_enabled,
-        )
+        from repro.core.transitions import compile_deterministic
 
-        if not fast_tables_enabled():
-            self._fast_tables = False
-            return False
         cls = type(self)
         shared = not _OWN_TABLE_ATTRS.intersection(self.__dict__)
         entry = _SHARED_FAST_TABLES.get(cls) if shared else None
@@ -326,17 +319,14 @@ class TableProtocol(Protocol):
 
     def static_tables(self) -> Optional[tuple[tuple, tuple]]:
         """The compiled flat tables, unless a subclass overrides the
-        lookups or the fast path is disabled."""
+        lookups."""
         cls = type(self)
         if (
             cls.local_action is not TableProtocol.local_action
             or cls.snoop_action is not TableProtocol.snoop_action
         ):
             return None
-        tables = self._fast_tables
-        if tables is None:
-            tables = self._compile_fast_tables()
-        return tables or None
+        return self._fast_tables or self._compile_fast_tables()
 
     def local_action(
         self,
@@ -344,18 +334,11 @@ class TableProtocol(Protocol):
         event: LocalEvent,
         ctx: Optional[LocalContext] = None,
     ) -> LocalAction:
-        tables = self._fast_tables
-        if tables is None:
-            tables = self._compile_fast_tables()
-        if tables is not False:
-            action = tables[0][state.code * 4 + event.code]
-            if action is not None:
-                return action
+        tables = self._fast_tables or self._compile_fast_tables()
+        action = tables[0][state.code * 4 + event.code]
+        if action is None:
             raise IllegalTransitionError(self.name, state, event)
-        try:
-            return self.local_transitions[(state, event)]
-        except KeyError:
-            raise IllegalTransitionError(self.name, state, event) from None
+        return action
 
     def snoop_action(
         self,
@@ -363,22 +346,11 @@ class TableProtocol(Protocol):
         event: BusEvent,
         ctx: Optional[SnoopContext] = None,
     ) -> SnoopAction:
-        tables = self._fast_tables
-        if tables is None:
-            tables = self._compile_fast_tables()
-        if tables is not False:
-            action = tables[1][state.code * 6 + event.code]
-            if action is not None:
-                return action
+        tables = self._fast_tables or self._compile_fast_tables()
+        action = tables[1][state.code * 6 + event.code]
+        if action is None:
             raise IllegalTransitionError(self.name, state, event)
-        try:
-            return self.snoop_transitions[(state, event)]
-        except KeyError:
-            if self.snoop_default_to_class:
-                fallback = self._class_snoop_fallback(state, event)
-                if fallback is not None:
-                    return fallback
-            raise IllegalTransitionError(self.name, state, event) from None
+        return action
 
     @staticmethod
     def _class_snoop_fallback(

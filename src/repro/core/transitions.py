@@ -68,9 +68,6 @@ __all__ = [
     "compile_deterministic",
     "shared_class_table",
     "compiled_class_cells",
-    "fast_tables_enabled",
-    "set_fast_tables",
-    "tables_epoch",
     "BatchTables",
     "BATCH_LOCAL_WIDTH",
     "BATCH_SNOOP_WIDTH",
@@ -669,38 +666,6 @@ def compile_deterministic(
                     "from the protocol's mapping"
                 )
     return local, snoop
-
-
-_FAST_TABLES_ENABLED = True
-_TABLES_EPOCH = 0
-
-
-def fast_tables_enabled() -> bool:
-    """Whether protocols should serve the hot path from compiled tables."""
-    return _FAST_TABLES_ENABLED
-
-
-def tables_epoch() -> int:
-    """Monotonic counter bumped whenever :func:`set_fast_tables` changes
-    the setting.  Forked workers freeze the setting they inherited, so
-    pool owners (:mod:`repro.perf.pool`) compare the epoch they started
-    under against the current one and restart stale workers."""
-    return _TABLES_EPOCH
-
-
-def set_fast_tables(enabled: bool) -> bool:
-    """Globally enable/disable the compiled-table fast path (tests compare
-    the two paths byte-for-byte).  Returns the previous setting.
-
-    Only affects protocols instantiated (or first exercised) afterwards:
-    already-compiled instances keep their tables.  Each effective change
-    bumps :func:`tables_epoch` so warm worker pools notice."""
-    global _FAST_TABLES_ENABLED, _TABLES_EPOCH
-    previous = _FAST_TABLES_ENABLED
-    if bool(enabled) != previous:
-        _TABLES_EPOCH += 1
-    _FAST_TABLES_ENABLED = bool(enabled)
-    return previous
 
 
 _SHARED_CLASS_TABLE: Optional[MoesiClassTable] = None

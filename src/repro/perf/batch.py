@@ -234,21 +234,12 @@ class BatchResult:
 _LOWERED: dict[str, Optional[BatchTables]] = {}
 
 
-def _lower_spec(spec: str) -> Optional[BatchTables]:
-    """Cache-miss path for one registry spec.  With
-    ``REPRO_SHARED_TABLES`` set, lowering is served from the
-    process-wide shared-memory segment (:mod:`repro.perf.shared`) so the
-    packed round trip covers every table the kernel ever uses; otherwise
-    the protocol is probed directly."""
-    import os
-
-    if os.environ.get("REPRO_SHARED_TABLES"):
-        from repro.perf.shared import process_tables
-
-        shared = process_tables()
-        if spec in shared:
-            return shared[spec]
-    return lower_batch_tables(make_protocol(spec))
+def _lowered(spec: str) -> Optional[BatchTables]:
+    """One registry spec's batch tables (``None`` when it cannot be
+    lowered), probed from the protocol once per process."""
+    if spec not in _LOWERED:
+        _LOWERED[spec] = lower_batch_tables(make_protocol(spec))
+    return _LOWERED[spec]
 
 
 def lower_units(units: Sequence[str]) -> list:
@@ -256,9 +247,7 @@ def lower_units(units: Sequence[str]) -> list:
     :class:`NotBatchableError` naming the first spec that cannot be."""
     tables = []
     for spec in units:
-        if spec not in _LOWERED:
-            _LOWERED[spec] = _lower_spec(spec)
-        lowered = _LOWERED[spec]
+        lowered = _lowered(spec)
         if lowered is None:
             raise NotBatchableError(
                 f"protocol {spec!r} selects actions statefully and cannot "
@@ -274,13 +263,9 @@ def batchable_specs() -> tuple[str, ...]:
     excluded and stay on the object engine)."""
     from repro.protocols.registry import protocol_names
 
-    names = []
-    for spec in protocol_names():
-        if spec not in _LOWERED:
-            _LOWERED[spec] = _lower_spec(spec)
-        if _LOWERED[spec] is not None:
-            names.append(spec)
-    return tuple(names)
+    return tuple(
+        spec for spec in protocol_names() if _lowered(spec) is not None
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1593,21 +1578,21 @@ def run_batch_specs(
 # Batch-kernel population sweep.
 # ---------------------------------------------------------------------------
 def _batch_task(
-    backend: Optional[str], tables_shm: Optional[str], spec: BatchSpec
+    backend: Optional[str], segment: Optional[str], spec: BatchSpec
 ) -> dict:
     """One pooled batch run; the task is a one-protocol
     :class:`~repro.specs.BatchSpec` -- a spec string plus integers,
     nothing object-shaped on the wire.
 
-    ``tables_shm`` names the parent's shared-memory tables segment; the
+    ``segment`` names the parent's shared-memory tables segment; the
     worker attaches once (memoized per process) and seeds the lowering
     cache from the mapping, so no worker ever re-derives -- or receives
     a pickled copy of -- the compiled transition tables."""
-    if tables_shm is not None:
+    if segment is not None:
         from repro.perf.shared import attach_tables
 
         try:
-            attach_tables(tables_shm)
+            attach_tables(segment)
         except Exception:
             pass  # segment gone or unsupported: lower directly below
     return run_batch_specs([spec], backend=backend)[0][0]
@@ -1633,15 +1618,15 @@ def batch_protocol_sweep(
         protocols = batchable_specs()
     from repro.perf.shared import publish_tables, unlink_tables
 
-    tables_shm = None
+    segment = None
     # The tables segment only serves workers: publish it when the map can
     # fan out, not for a sweep that will run in this process.
     if len(protocols) > 1 and resolve_workers(workers) > 1:
         try:
-            tables_shm = publish_tables(list(protocols))
+            segment = publish_tables(list(protocols))
         except Exception:
             pass  # no shared memory here: workers lower directly
-    task_fn = functools.partial(_batch_task, backend, tables_shm)
+    task_fn = functools.partial(_batch_task, backend, segment)
     tasks = [
         BatchSpec(
             protocols=(protocol,),
@@ -1656,5 +1641,5 @@ def batch_protocol_sweep(
     try:
         return parallel_map(task_fn, tasks, workers=workers)
     finally:
-        if tables_shm is not None:
-            unlink_tables(tables_shm)
+        if segment is not None:
+            unlink_tables(segment)

@@ -535,7 +535,7 @@ def _bench_serve_batch(quick: bool) -> dict:
     ``ServeClient.execute_many``: N distinct-seed batch specs sharing a
     ``batch_key()``.  Both legs run in-process (no daemon, no sockets)
     so the ratio isolates the kernel-side win -- amortized population
-    synthesis, one shared-tables epoch, one SoA run instead of N.
+    synthesis, one SoA run instead of N.
 
     The gated ``speedup`` runs both legs on one pinned backend (numpy
     when it imports), so it measures vectorization width, not the

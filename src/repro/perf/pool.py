@@ -29,7 +29,7 @@ across calls:
   started (span wrappers, lowered tables);
 * the pool starts lazily on first use and is reused by every later map
   and dispatch (replaced by a larger one if a later call asks for more
-  workers, restarted when ``set_fast_tables`` bumps the tables epoch);
+  workers);
 * it is shut down via :mod:`atexit` with every worker reaped, and a
   forked child silently drops the inherited handle instead of touching
   its parent's workers;
@@ -59,8 +59,6 @@ import threading
 import time
 import warnings
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar
-
-from repro.core.transitions import tables_epoch
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
@@ -335,12 +333,13 @@ class WorkerPool:
 # ---------------------------------------------------------------------------
 _pool: Optional[WorkerPool] = None
 _pool_pid = os.getpid()
-_pool_epoch = -1
 _lock = threading.Lock()
 _atexit_registered = False
 _stats = {
     "pool_starts": 0,
     "pool_reuses": 0,
+    # Always 0: nothing restarts a running pool.  Kept so readers of
+    # pool_stats() (bench reports, daemon status) see a stable key set.
     "pool_refreshes": 0,
     "maps": 0,
     "chunks": 0,
@@ -372,19 +371,13 @@ def get_executor(workers: int) -> WorkerPool:
     cannot run in this environment (restricted sandboxes) -- callers
     fall back to serial execution.
     """
-    global _pool, _pool_pid, _pool_epoch, _lock, _atexit_registered
+    global _pool, _pool_pid, _lock, _atexit_registered
     if _pool_pid != os.getpid():
         # Forked child: the handle, and perhaps a held lock, belong to
         # the parent.  Drop them without touching the parent's workers.
         _pool, _pool_pid, _lock = None, os.getpid(), threading.Lock()
     workers = max(1, workers)
     with _lock:
-        if _pool is not None and _pool_epoch != tables_epoch():
-            # set_fast_tables was toggled after the workers forked: they
-            # froze the old compiled-table setting.  Restart, don't reuse.
-            _stats["pool_refreshes"] += 1
-            _pool.close()
-            _pool = None
         if _pool is not None:
             if _pool.size >= workers:
                 _stats["pool_reuses"] += 1
@@ -393,7 +386,6 @@ def get_executor(workers: int) -> WorkerPool:
             _pool.close()
             _pool = None
         _pool = WorkerPool(workers)
-        _pool_epoch = tables_epoch()
         _stats["pool_starts"] += 1
         if not _atexit_registered:
             atexit.register(shutdown_pool)

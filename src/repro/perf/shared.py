@@ -1,28 +1,20 @@
-"""Zero-copy distribution of lowered batch tables to pool workers.
+"""Lowered batch tables packed into one shared-memory segment.
 
 :func:`repro.core.transitions.lower_batch_tables` is cheap to *read*
 but expensive to *build*: it instantiates the protocol, probes every
 table cell through a context harness, and verifies the lowering against
-a fresh probe.  Before this module, every pool worker repeated that work
-(or had the tables pickled at it per chunk) for every spec it touched.
+a fresh probe.  Every process lowers a spec at most once (the kernel's
+per-process cache behind :func:`repro.perf.batch.lower_units`).
 
-Two distribution paths, both read-only:
-
-* **fork inheritance** -- on fork start methods the parent's lowering
-  cache is inherited copy-on-write for free; :func:`prime_fork_cache`
-  simply fills it before the pool starts.
-* **``multiprocessing.shared_memory``** -- :func:`publish_tables` packs
-  every lowered spec into one flat int64 segment (a small JSON directory
-  followed by fixed-width records); :func:`attach_tables` maps it
-  zero-copy in a worker, rebuilds the record tuples from the mapped
-  buffer (no second copy of the blob, no unpickling), and seeds the
-  kernel's lowering cache so :func:`repro.perf.batch.lower_units` never
-  probes a protocol again in that process.
-
-Setting ``REPRO_SHARED_TABLES=1`` routes in-process lowering through a
-self-published segment (:func:`process_tables`) -- the CI equivalence
-job runs the whole oracle sweep through the packed form to prove the
-round trip is lossless.
+:func:`repro.perf.batch.batch_protocol_sweep` -- one pooled population
+per protocol, so each worker would otherwise lower the specs it draws --
+publishes its specs' tables once for the sweep: :func:`publish_tables`
+packs them into one flat int64 segment (a small JSON directory followed
+by fixed-width records); :func:`attach_tables` maps it zero-copy in a
+worker, rebuilds the record tuples from the mapped buffer (no second
+copy of the blob, no unpickling), and seeds the kernel's lowering cache
+so ``lower_units`` never probes a protocol again in that process.  The
+sweep unlinks the segment when its map returns.
 
 Layout (all little-endian int64 words unless noted)::
 
@@ -41,7 +33,6 @@ from __future__ import annotations
 
 import atexit
 import json
-import os
 from typing import Optional, Sequence
 
 from repro.core.transitions import (
@@ -56,23 +47,14 @@ from repro.core.transitions import (
 from repro.protocols.registry import make_protocol, protocol_names
 
 __all__ = [
-    "ENV_FLAG",
     "SharedTablesError",
     "attach_tables",
     "detach_tables",
     "pack_tables",
-    "prime_fork_cache",
-    "process_tables",
     "publish_tables",
-    "shared_tables_requested",
-    "tables_for_epoch",
     "unlink_tables",
     "unpack_tables",
 ]
-
-#: Environment switch: route all in-process lowering through a
-#: self-published shared-memory segment (round-trip proof mode).
-ENV_FLAG = "REPRO_SHARED_TABLES"
 
 _MAGIC = 0x5250524F  # "RPRO"
 _HEADER_WORDS = 2
@@ -87,15 +69,8 @@ class SharedTablesError(RuntimeError):
     """A shared-tables segment is malformed or unavailable."""
 
 
-def shared_tables_requested() -> bool:
-    """Whether :data:`ENV_FLAG` asks for shared-memory table routing."""
-    return bool(os.environ.get(ENV_FLAG))
-
-
 def _lower_all(specs: Optional[Sequence[str]] = None) -> dict:
-    """Directly lower every (given or batchable) registry spec --
-    the publisher's own scan, never routed back through the kernel's
-    cache (no recursion)."""
+    """Directly lower every (given or batchable) registry spec."""
     out = {}
     for spec in specs if specs is not None else protocol_names():
         tables = lower_batch_tables(make_protocol(spec))
@@ -306,80 +281,3 @@ def unlink_tables(name: str) -> None:
             shm.unlink()
         except Exception:  # pragma: no cover - already unlinked
             pass
-
-
-# ---------------------------------------------------------------------------
-# In-process routing (the REPRO_SHARED_TABLES env flag).
-# ---------------------------------------------------------------------------
-_PROCESS_TABLES: Optional[dict] = None
-_BUILDING = False
-
-
-def process_tables() -> dict:
-    """The process-wide shared-tables map used when :data:`ENV_FLAG` is
-    set: published once into shared memory, attached back from the
-    mapped buffer (a full pack/unpack round trip), then served from the
-    per-process memo.  Falls back to direct lowering when shared memory
-    is unavailable (restricted sandboxes).  Returns ``{}`` while the
-    publisher itself is lowering, so its scan cannot recurse."""
-    global _PROCESS_TABLES, _BUILDING
-    if _PROCESS_TABLES is not None:
-        return _PROCESS_TABLES
-    if _BUILDING:
-        return {}
-    _BUILDING = True
-    try:
-        try:
-            name = publish_tables()
-            _PROCESS_TABLES = attach_tables(name, seed_kernel_cache=False)
-        except (ImportError, OSError, PermissionError):
-            _PROCESS_TABLES = _lower_all()
-    finally:
-        _BUILDING = False
-    return _PROCESS_TABLES
-
-
-def tables_for_epoch() -> Optional[str]:
-    """The long-lived publish-once segment for serving tiers.
-
-    Unlike the per-sweep publish/unlink in
-    :func:`repro.perf.batch.batch_protocol_sweep`, a daemon coalescing
-    requests wants one segment for its whole life: published on first
-    use, reused for every population, and republished only when
-    ``set_fast_tables`` bumps the tables epoch (the same signal that
-    restarts the warm pool, so workers never attach stale tables).
-    Returns ``None`` where shared memory is unavailable -- workers then
-    lower directly, which is correct, just slower."""
-    global _EPOCH_SEGMENT
-    from repro.core.transitions import tables_epoch
-
-    epoch = tables_epoch()
-    if _EPOCH_SEGMENT is not None and _EPOCH_SEGMENT[0] == epoch:
-        return _EPOCH_SEGMENT[1]
-    if _EPOCH_SEGMENT is not None and _EPOCH_SEGMENT[1] is not None:
-        unlink_tables(_EPOCH_SEGMENT[1])
-    try:
-        name: Optional[str] = publish_tables()
-    except Exception:
-        name = None
-    _EPOCH_SEGMENT = (epoch, name)
-    return name
-
-
-_EPOCH_SEGMENT: Optional[tuple] = None
-
-
-def prime_fork_cache(specs: Optional[Sequence[str]] = None) -> int:
-    """Fill the kernel's lowering cache in the parent *before* the pool
-    forks, so workers inherit the compiled tables copy-on-write -- the
-    zero-ceremony path on fork start methods.  Returns the number of
-    specs now cached."""
-    from repro.perf import batch
-
-    try:
-        names = list(specs) if specs is not None else None
-        for spec, tables in _lower_all(names).items():
-            batch._LOWERED.setdefault(spec, tables)
-    except Exception:  # pragma: no cover - registry import failures
-        pass
-    return sum(1 for t in batch._LOWERED.values() if t is not None)

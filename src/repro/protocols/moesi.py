@@ -26,11 +26,7 @@ from repro.core.protocol import (
     SnoopContext,
 )
 from repro.core.states import LineState
-from repro.core.transitions import (
-    fast_tables_enabled,
-    local_choices,
-    snoop_choices,
-)
+from repro.core.transitions import local_choices, snoop_choices
 
 __all__ = ["MoesiProtocol"]
 
@@ -69,12 +65,11 @@ class MoesiProtocol(Protocol):
 
     def static_tables(self) -> Optional[tuple[tuple, tuple]]:
         """The stateless policy's picks as flat tables (``None`` for any
-        other policy, or with the fast path off)."""
+        other policy)."""
         cls = type(self)
         policy_cls = type(self.policy)
         if (
-            not fast_tables_enabled()
-            or policy_cls not in _STATELESS_POLICIES
+            policy_cls not in _STATELESS_POLICIES
             or cls.local_action is not MoesiProtocol.local_action
             or cls.snoop_action is not MoesiProtocol.snoop_action
         ):

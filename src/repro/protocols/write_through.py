@@ -126,16 +126,12 @@ class WriteThroughProtocol(Protocol):
 
     def static_tables(self) -> Optional[tuple[tuple, tuple]]:
         """The compiled form of this flavour's tables, shared per flag
-        triple like the mappings (``None`` with the fast path off)."""
-        from repro.core.transitions import (
-            compile_deterministic,
-            fast_tables_enabled,
-        )
+        triple like the mappings."""
+        from repro.core.transitions import compile_deterministic
 
         cls = type(self)
         if (
-            not fast_tables_enabled()
-            or cls.local_action is not WriteThroughProtocol.local_action
+            cls.local_action is not WriteThroughProtocol.local_action
             or cls.snoop_action is not WriteThroughProtocol.snoop_action
         ):
             return None

@@ -34,33 +34,25 @@ def execute_payload(canonical: str) -> dict:
     return payload_for(spec, result)
 
 
-def execute_batch_payloads(
-    canonicals: Sequence[str], tables_shm: Optional[str] = None
-) -> list[dict]:
+def execute_batch_payloads(canonicals: Sequence[str]) -> list[dict]:
     """Execute a coalesced population of canonical batch specs; returns
     one payload per spec, in input order.
 
     The continuous-batching job body: every spec here is batch-lowerable
     (the daemon routes by ``spec.batch_key()``), so the whole population
     merges into a handful of :func:`repro.perf.batch.run_batch_specs`
-    kernel invocations instead of one sweep -- one shared-tables attach,
-    one population synthesis pass, one SoA run per board mix.  Each
-    payload is byte-identical to ``execute_payload(canonical)`` for the
-    same spec: rows come from the same kernel on the same schedules, and
-    :func:`payload_for` strips the wall-clock and backend columns either
-    way, so the payload does not depend on which backend the merged
-    population's row count picked."""
+    kernel invocations instead of one sweep -- one population synthesis
+    pass, one SoA run per board mix.  The worker lowers each protocol's
+    tables on first touch and keeps them for its life (the kernel's
+    per-process lowering cache).  Each payload is byte-identical to
+    ``execute_payload(canonical)`` for the same spec: rows come from the
+    same kernel on the same schedules, and :func:`payload_for` strips
+    the wall-clock and backend columns either way, so the payload does
+    not depend on which backend the merged population's row count
+    picked."""
     from repro.perf.batch import run_batch_specs
     from repro.serve.protocol import payload_for
     from repro.specs import spec_from_canonical
-
-    if tables_shm is not None:
-        from repro.perf.shared import attach_tables
-
-        try:
-            attach_tables(tables_shm)
-        except Exception:
-            pass  # segment gone or unsupported: lower directly below
 
     specs = [spec_from_canonical(canonical) for canonical in canonicals]
     per_spec_rows = run_batch_specs(specs)
@@ -68,12 +60,6 @@ def execute_batch_payloads(
         payload_for(spec, rows)
         for spec, rows in zip(specs, per_spec_rows)
     ]
-
-
-def _batch_job(task: tuple) -> list[dict]:
-    """Pool-worker shim: :func:`dispatch_one` carries one argument."""
-    canonicals, tables_shm = task
-    return execute_batch_payloads(canonicals, tables_shm)
 
 
 def dispatch_job(
@@ -97,22 +83,18 @@ def dispatch_batch_job(
     canonicals: Sequence[str],
     deadline_s: Optional[float] = None,
     workers: Optional[int] = None,
-    tables_shm: Optional[str] = None,
 ) -> list[dict]:
     """Run one coalesced population on the warm pool.
 
     ``deadline_s`` is the *slackest surviving* row deadline (the daemon
     already dropped expired rows at sealing time); a timeout therefore
-    fails only rows that were genuinely out of time.  ``tables_shm``
-    names the daemon's epoch-published shared-tables segment
-    (:func:`repro.perf.shared.tables_for_epoch`) so the worker attaches
-    the lowered tables zero-copy instead of re-probing protocols."""
+    fails only rows that were genuinely out of time."""
     from repro.perf.pool import dispatch_one, note_batch_dispatch
 
     note_batch_dispatch(len(canonicals))
     return dispatch_one(
-        _batch_job,
-        (tuple(canonicals), tables_shm),
+        execute_batch_payloads,
+        tuple(canonicals),
         timeout_s=deadline_s,
         workers=workers,
     )

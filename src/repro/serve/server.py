@@ -33,9 +33,10 @@ join a per-compatibility-key **admission queue**.  The first arrival
 opens an admission window (``batch_window_s``); whatever compatible
 requests land within it -- capped at ``batch_max`` -- seal into one
 padded heterogeneous-geometry SoA population, executed as a *single*
-pool job (:func:`repro.serve.jobs.dispatch_batch_job`, shared tables
-published once per epoch), and the per-row results de-multiplex back
-into the exact envelopes each request would have gotten alone.
+pool job (:func:`repro.serve.jobs.dispatch_batch_job`; each worker
+lowers a protocol's tables on first touch and keeps them), and the
+per-row results de-multiplex back into the exact envelopes each request
+would have gotten alone.
 
 The window is a cap, not a wait: only an *idle* connection -- accepted
 and not yet read from, or waiting for its next line -- or one still in
@@ -188,14 +189,10 @@ class ReproServer:
         else:
 
             def _default_batch_dispatcher(canonicals, deadline_s):
-                from repro.perf.shared import tables_for_epoch
                 from repro.serve.jobs import dispatch_batch_job
 
                 return dispatch_batch_job(
-                    canonicals,
-                    deadline_s,
-                    workers=workers,
-                    tables_shm=tables_for_epoch(),
+                    canonicals, deadline_s, workers=workers
                 )
 
             self._batch_dispatcher = _default_batch_dispatcher

@@ -1,14 +1,12 @@
-"""Zero-copy shared transition tables and the pool's epoch refresh.
+"""Zero-copy shared transition tables (the batch sweep's segment).
 
 The contract: a :class:`repro.core.transitions.BatchTables` rebuilt from
 the packed shared-memory image compares equal to one lowered directly
 from the protocol, for every batchable registry spec; attaching a
 segment seeds the kernel's lowering cache so workers never probe a
-protocol; and toggling ``set_fast_tables`` after the warm pool forked
-restarts the pool instead of reusing workers that froze the old setting.
-A worker that attaches a segment never touches the publisher's
-resource-tracker entry, so the tracker still reclaims the segment when
-the publisher dies.
+protocol.  A worker that attaches a segment never touches the
+publisher's resource-tracker entry, so the tracker still reclaims the
+segment when the publisher dies.
 """
 
 import os
@@ -21,12 +19,7 @@ import pytest
 
 import repro
 
-from repro.core.transitions import (
-    BatchTables,
-    lower_batch_tables,
-    set_fast_tables,
-    tables_epoch,
-)
+from repro.core.transitions import BatchTables, lower_batch_tables
 from repro.perf import shared
 from repro.perf.batch import batchable_specs
 from repro.protocols.registry import make_protocol
@@ -97,40 +90,6 @@ class TestSegmentLifecycle:
     def test_attach_missing_segment_raises(self):
         with pytest.raises(Exception):
             shared.attach_tables("psm_repro_no_such_segment")
-
-
-class TestPoolEpochRefresh:
-    def test_toggle_bumps_epoch_once_per_change(self):
-        before = tables_epoch()
-        previous = set_fast_tables(True)
-        try:
-            bumped = tables_epoch()
-            assert bumped == before + (0 if previous else 1)
-            set_fast_tables(True)  # no-op: same value
-            assert tables_epoch() == bumped
-        finally:
-            set_fast_tables(previous)
-
-    def test_warm_pool_restarts_after_toggle(self):
-        from repro.perf import pool
-
-        original = set_fast_tables(True)  # pin, so the flip below changes
-        try:
-            try:
-                executor = pool.get_executor(1)
-            except (OSError, ValueError):
-                pytest.skip("process pools unavailable in this sandbox")
-            assert pool.get_executor(1) is executor  # warm reuse
-            before = pool.pool_stats()["pool_refreshes"]
-            set_fast_tables(False)  # guaranteed effective change
-            refreshed = pool.get_executor(1)
-            assert refreshed is not executor
-            assert pool.pool_stats()["pool_refreshes"] == before + 1
-            # Same epoch again: the fresh pool is reusable.
-            assert pool.get_executor(1) is refreshed
-        finally:
-            set_fast_tables(original)
-            pool.shutdown_pool(wait=False)
 
 
 #: Publish a segment, attach it from a pool worker forked *before* the

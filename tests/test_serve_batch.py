@@ -7,18 +7,27 @@ ephemeral port in a background thread (same harness as
 execute the production job bodies (:func:`execute_payload`,
 :func:`execute_batch_payloads`) without a worker pool -- which also
 lets a monkeypatched ``repro.perf.batch._np = None`` force the
-pure-Python kernel backend on both the served and the direct leg.
+pure-Python kernel backend on both the served and the direct leg.  One
+test starts ``python -m repro serve`` itself, pool and all, and kills
+its whole process group.
 """
 
 import asyncio
 import contextlib
+import json
+import os
 import pickle
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 import repro.perf.batch as batch_mod
 from repro.api import execute, plan
 from repro.perf.batch import (
@@ -424,3 +433,61 @@ class TestSealing:
                 await server.close()
 
         asyncio.run(main())
+
+
+# ----------------------------------------------------------------------
+# A killed daemon leaves no shared memory behind.
+# ----------------------------------------------------------------------
+def _group_alive(pgid: int) -> bool:
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or not os.path.isdir("/dev/shm"),
+    reason="needs POSIX shared memory under /dev/shm",
+)
+def test_killed_daemon_leaves_no_shared_memory_segment():
+    """SIGKILL to the daemon's process group takes its pool workers and
+    its resource tracker with it, so any segment the daemon still held
+    would stay in ``/dev/shm`` for good.  After serving a batch spec
+    through its own pool, it must hold none."""
+    shm = Path("/dev/shm")
+    before = set(shm.glob("psm_*"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(repro.__file__).parents[1]),
+                      env.get("PYTHONPATH")])
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0"],
+        stdout=subprocess.PIPE, text=True, env=env, start_new_session=True,
+    )
+    spec = batch_spec(seed=7)
+    try:
+        ready = json.loads(proc.stdout.readline())
+        port = ready["data"]["endpoints"]["port"]
+        line = json.dumps({"command": "execute", "spec": spec.to_dict()})
+        with socket.create_connection(("127.0.0.1", port), timeout=60) as sock:
+            sock.sendall(line.encode("ascii") + b"\n")
+            with sock.makefile("rb") as stream:
+                reply = json.loads(stream.readline())
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=30)
+        proc.stdout.close()
+        deadline = time.monotonic() + 10
+        while _group_alive(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+    leaked = sorted(set(shm.glob("psm_*")) - before)
+    for path in leaked:
+        path.unlink(missing_ok=True)
+    assert not leaked, f"the killed daemon left {leaked}"
+    assert reply["ok"] and reply["batched"], reply
+    local = direct_payload(spec)
+    served = {key: reply[key] for key in local}
+    assert canonical_json(served) == canonical_json(local)

@@ -8,10 +8,11 @@ source:
 * the MOESI-class relaxation closure (Tables 1/2 plus relaxations 9-12),
 * every registered protocol's cell tables (including the paper's
   Tables 3-7 via Berkeley, Dragon, Write-Once, Illinois and Firefly),
-* the :class:`TableProtocol` deterministic fast path against the dict
-  fallback path, action by action and error by error,
-* and a fuzz seed sweep proving scenario outcomes are identical with the
-  fast path enabled and disabled.
+* every compiled :class:`TableProtocol` against its own mappings (and
+  the class snoop fallback), action by action and error by error,
+* and a fuzz seed sweep proving scenario outcomes are identical whether
+  the cache controller serves decisions from flat tables or consults
+  the protocol.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from repro.core.transitions import (
     _choice_order,
     compile_cells,
     compiled_class_cells,
-    set_fast_tables,
     shared_class_table,
     verify_compiled,
 )
@@ -46,16 +46,6 @@ ALL_LOCAL_PAIRS = [
 ALL_SNOOP_PAIRS = [
     (state, event) for state in LineState for event in ALL_BUS_EVENTS
 ]
-
-
-@pytest.fixture
-def fast_tables_restored():
-    """Restore the global fast-path toggle after a test flips it."""
-    from repro.core import transitions
-
-    previous = transitions.fast_tables_enabled()
-    yield
-    set_fast_tables(previous)
 
 
 class TestInterning:
@@ -170,37 +160,33 @@ class TestRegistryProtocolsCompiled:
             ), (name, state, event)
 
     @pytest.mark.parametrize("name", sorted(PROTOCOL_FACTORIES))
-    def test_fast_path_equals_dict_path_cell_by_cell(
-        self, name, fast_tables_restored
-    ):
-        """A compiled instance and a dict-driven instance must agree on
-        every action and every IllegalTransitionError."""
+    def test_fast_path_equals_dict_path_cell_by_cell(self, name):
+        """A compiled instance answers every cell with its own mapping's
+        action (or, with ``snoop_default_to_class``, the class snoop
+        fallback) and raises IllegalTransitionError on every "--"."""
         protocol = make_protocol(name)
         if not isinstance(protocol, TableProtocol):
             pytest.skip("policy-driven protocol: no deterministic fast path")
-        set_fast_tables(True)
-        fast = make_protocol(name)
-        fast._compile_fast_tables()  # compile while the toggle is on
-        set_fast_tables(False)
-        slow = make_protocol(name)
-        slow._compile_fast_tables()  # pin the dict path while it is off
 
-        def outcome(instance, method, state, event):
+        def outcome(method, state, event):
             try:
-                return getattr(instance, method)(state, event)
+                return method(state, event)
             except IllegalTransitionError:
                 return "--"
 
         for state, event in ALL_LOCAL_PAIRS:
-            assert outcome(fast, "local_action", state, event) == outcome(
-                slow, "local_action", state, event
-            ), (name, state, event)
+            expected = protocol.local_transitions.get((state, event), "--")
+            assert outcome(protocol.local_action, state, event) == expected, (
+                name, state, event,
+            )
         for state, event in ALL_SNOOP_PAIRS:
-            assert outcome(fast, "snoop_action", state, event) == outcome(
-                slow, "snoop_action", state, event
+            expected = protocol.snoop_transitions.get((state, event))
+            if expected is None and protocol.snoop_default_to_class:
+                expected = protocol._class_snoop_fallback(state, event)
+            assert outcome(protocol.snoop_action, state, event) == (
+                "--" if expected is None else expected
             ), (name, state, event)
-        assert fast._fast_tables not in (None, False)
-        assert slow._fast_tables is False
+        assert protocol._fast_tables is not None
 
     def test_compile_registry_covers_every_protocol(self):
         compiled = compile_registry()
@@ -216,18 +202,14 @@ class TestRegistryProtocolsCompiled:
 class TestSharedFastTables:
     """Verified tables are compiled once per class, not per instance."""
 
-    def test_instances_of_one_class_share_one_table(
-        self, fast_tables_restored
-    ):
-        set_fast_tables(True)
+    def test_instances_of_one_class_share_one_table(self):
         first, second = make_protocol("illinois"), make_protocol("illinois")
         assert first._compile_fast_tables() is second._compile_fast_tables()
         assert make_protocol("berkeley")._compile_fast_tables() is not (
             first._fast_tables
         )
 
-    def test_instance_mapping_compiles_its_own(self, fast_tables_restored):
-        set_fast_tables(True)
+    def test_instance_mapping_compiles_its_own(self):
         shared = make_protocol("illinois")._compile_fast_tables()
         own = make_protocol("illinois")
         own.snoop_transitions = dict(own.snoop_transitions)
@@ -236,14 +218,6 @@ class TestSharedFastTables:
         assert tables == shared  # same cells, compiled separately
         # ... and the class's shared entry is untouched by it.
         assert make_protocol("illinois")._compile_fast_tables() is shared
-
-    def test_disabled_fast_path_opts_out(self, fast_tables_restored):
-        set_fast_tables(True)
-        shared = make_protocol("dragon")._compile_fast_tables()
-        set_fast_tables(False)
-        assert make_protocol("dragon")._compile_fast_tables() is False
-        set_fast_tables(True)
-        assert make_protocol("dragon")._compile_fast_tables() is shared
 
     def test_write_through_flavours_share_by_flags(self):
         from repro.protocols.write_through import WriteThroughProtocol
@@ -256,7 +230,9 @@ class TestSharedFastTables:
 
 
 class TestFuzzDifferentialEquivalence:
-    """Scenario outcomes must not depend on the fast-path toggle."""
+    """Scenario outcomes must not depend on whether the controller serves
+    decisions from flat tables or consults the protocol (the path
+    stateful policies and mutants always take)."""
 
     SEEDS = range(10)
 
@@ -279,11 +255,23 @@ class TestFuzzDifferentialEquivalence:
             )
         return outcomes
 
-    def test_seed_sweep_identical_compiled_vs_uncompiled(
-        self, fast_tables_restored
-    ):
-        set_fast_tables(True)
+    @staticmethod
+    def _classes_defining_static_tables():
+        from repro.core.protocol import Protocol
+
+        found, stack = [], [Protocol]
+        while stack:
+            cls = stack.pop()
+            if "static_tables" in vars(cls):
+                found.append(cls)
+            stack.extend(cls.__subclasses__())
+        return found
+
+    def test_seed_sweep_identical_compiled_vs_uncompiled(self, monkeypatch):
         compiled = self._outcomes()
-        set_fast_tables(False)
+        for cls in self._classes_defining_static_tables():
+            monkeypatch.setattr(cls, "static_tables", lambda self: None)
+        assert make_protocol("illinois").static_tables() is None
+        assert make_protocol("moesi").static_tables() is None
         uncompiled = self._outcomes()
         assert compiled == uncompiled
