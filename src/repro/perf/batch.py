@@ -303,6 +303,8 @@ class _Kernel:
         self.U = len(pop.units)
         self.R = pop.rows
         self.tables = tables
+        self.local_cells = [t.local for t in tables]
+        self.snoop_cells = [t.snoop for t in tables]
         self.non_caching = [t.non_caching for t in tables]
         self.cached_units = [
             u for u in range(self.U) if not self.non_caching[u]
@@ -395,34 +397,46 @@ class _Kernel:
         self.events_attempted = 0
         self.scalar_events = 0
         self.vector_events = 0
+        if self.R == self.S == self.W == 1:
+            self._lookup = self._lookup_one_slot
+            self._install = self._install_one_slot
 
     # -- shared scalar helpers -----------------------------------------
     def _base(self, r: int, u: int, set_index: int) -> int:
         return ((r * self.U + u) * self.S + set_index) * self.W
 
-    def _lookup(self, r: int, u: int, la: int):
-        """First way holding a valid copy of ``la`` (the cache's scan
-        order), as ``(set_index, way, flat_index)``; None on miss.
-        Padded ways stay INVALID forever, so scanning the envelope width
-        is safe for heterogeneous rows."""
-        tag, set_index = divmod(la, self.S_r[r])
-        base = ((r * self.U + u) * self.S + set_index) * self.W
+    def _lookup(self, r: int, u: int, la: int) -> int:
+        """Flat slot index of the first way holding a valid copy of
+        ``la`` (the cache's scan order), -1 on a miss.  Padded ways stay
+        INVALID forever, so scanning the envelope width is safe for
+        heterogeneous rows."""
+        row_s = self.S_r[r]
+        base = ((r * self.U + u) * self.S + la % row_s) * self.W
+        tag = la // row_s
         st, tg = self.st, self.tg
         for i in range(base, base + self.W):
             if tg[i] == tag and st[i] != _INVALID:
-                return set_index, i - base, i
-        return None
+                return i
+        return -1
 
-    def _touch(self, r: int, u: int, set_index: int, way: int) -> None:
-        """LRU move-to-front: ranks below the touched way's shift up."""
+    def _lookup_one_slot(self, r: int, u: int, la: int) -> int:
+        """:meth:`_lookup` for one row of one-set, one-way caches (the
+        compiled explorer's shape): unit ``u``'s only slot is index
+        ``u``, and its tag is the line address."""
+        return u if self.tg[u] == la and self.st[u] != _INVALID else -1
+
+    def _touch(self, i: int) -> None:
+        """LRU move-to-front of slot ``i``: ranks below its own shift up
+        (none do when it already leads)."""
         rk = self.rk
-        base = self._base(r, u, set_index)
-        old = rk[base + way]
-        for w in range(self.W):
-            i = base + w
-            if rk[i] < old:
-                rk[i] += 1
-        rk[base + way] = 0
+        old = rk[i]
+        if old == 0:
+            return
+        base = i - i % self.W
+        for j in range(base, base + self.W):
+            if rk[j] < old:
+                rk[j] += 1
+        rk[i] = 0
 
     def _emit_token(self, r: int, token) -> None:
         if self.backend == "numpy":
@@ -432,20 +446,6 @@ class _Kernel:
             self.tokens[r].append(int(token))
 
     # -- the bus (Futurebus.execute + _data_phase) ---------------------
-    def _snoop(self, r: int, u: int, la: int, ev_code: int, txn_serial: int):
-        """One snooper's address-phase response; sets the pending slot on
-        a hit (without clearing it on a miss, like the object engine)."""
-        found = self._lookup(r, u, la)
-        if found is None:
-            return 0, 0, 0, 0
-        i = found[2]
-        rec = self.tables[u].snoop[self.st[i] * 6 + ev_code]
-        if rec is None:
-            raise _RowCrash("ProtocolGapError")
-        self.tr[r] += 1
-        self.pend[r][u] = (txn_serial, i, rec)
-        return rec[2], rec[3], rec[4], rec[5]
-
     def _abort_push(self, r: int, u: int, la: int, txn_serial: int) -> None:
         pend_row = self.pend[r]
         p = pend_row[u]
@@ -459,91 +459,87 @@ class _Kernel:
 
     def _execute(self, r, master_u, la, ca, im, bc, op, wire):
         """One bus transaction to completion; returns ``(value, agg_ch)``
-        (``value`` only meaningful for ``op == READ``)."""
+        (``value`` only meaningful for ``op == READ``).
+
+        Only holders answer the address phase: a snooper without a
+        valid copy asserts nothing, consults no cell and leaves its
+        pending slot alone, so the loop passes it by.  A holder's
+        pending slot is set in the same round that reads it, so the
+        data phase and finalize take its slot from ``held`` directly."""
         self.serial[r] += 1
         txn_serial = int(self.serial[r])
         bc_eff = 1 if (bc and im) else 0
         ev_code = self.bus_code[ca * 4 + im * 2 + bc_eff]
-        snoopers = self.snoopers[master_u]
+        lookup, snoop_cells = self._lookup, self.snoop_cells
+        st, val, tr = self.st, self.val, self.tr
         pend_row = self.pend[r]
         retries = 0
         while True:
-            resp = [
-                self._snoop(r, u, la, ev_code, txn_serial) for u in snoopers
-            ]
-            agg_ch = agg_bs = 0
-            for bits in resp:
-                agg_ch |= bits[0]
-                agg_bs |= bits[3]
-            if agg_bs:
-                if retries >= _MAX_RETRIES:
-                    raise _RowCrash("BusLivelockError")
-                pushers = [
-                    u for u, bits in zip(snoopers, resp) if bits[3]
-                ]
-                for u in snoopers:
-                    if u not in pushers:
-                        p = pend_row[u]
-                        if p is not None and p[0] == txn_serial:
-                            pend_row[u] = None
-                for u in pushers:
-                    self._abort_push(r, u, la, txn_serial)
-                retries += 1
-                continue
-            break
+            held = []  # (unit, slot, record) per holder, attach order
+            agg_ch = agg_bs = suppliers = 0
+            for v in self.snoopers[master_u]:
+                i = lookup(r, v, la)
+                if i < 0:
+                    continue
+                rec = snoop_cells[v][st[i] * 6 + ev_code]
+                if rec is None:
+                    raise _RowCrash("ProtocolGapError")
+                tr[r] += 1
+                pend_row[v] = (txn_serial, i, rec)
+                held.append((v, i, rec))
+                agg_ch |= rec[2]
+                agg_bs |= rec[5]
+                if rec[3]:
+                    suppliers += 1
+                    supplier = i
+            if not agg_bs:
+                break
+            if retries >= _MAX_RETRIES:
+                raise _RowCrash("BusLivelockError")
+            for v, _, rec in held:
+                if not rec[5]:
+                    pend_row[v] = None
+            for v, _, rec in held:
+                if rec[5]:
+                    self._abort_push(r, v, la, txn_serial)
+            retries += 1
 
         # Data phase (raw BC decides the broadcast branch, as on the bus).
-        di_units = [u for u, bits in zip(snoopers, resp) if bits[1]]
-        sl_units = [u for u, bits in zip(snoopers, resp) if bits[2]]
-        if len(di_units) > 1:
+        if suppliers > 1:
             raise _RowCrash("RuntimeError")
         value = None
         word = r * self.L + la
         if op == 1:  # READ
-            if di_units:
-                p = pend_row[di_units[0]]
-                if p is None or p[0] != txn_serial:
-                    raise _RowCrash("AssertionError")  # supply_data assert
-                value = self.val[p[1]]
-            else:
-                value = self.mem[word]
+            value = val[supplier] if suppliers else self.mem[word]
         elif op == 2:  # WRITE
-            if bc or sl_units:
+            connected = [i for _, i, rec in held if rec[4]]
+            if bc or connected:
                 self.mem[word] = wire
-                for u in sl_units:
-                    p = pend_row[u]
-                    if p is None or p[0] != txn_serial:
-                        raise _RowCrash("AssertionError")  # connect assert
-                    self.val[p[1]] = wire
-                if di_units:
+                for i in connected:
+                    val[i] = wire
+                if suppliers:
                     raise _RowCrash("RuntimeError")  # DI on broadcast
-            elif di_units:
-                p = pend_row[di_units[0]]
-                if p is None or p[0] != txn_serial:
-                    raise _RowCrash("AssertionError")  # capture assert
-                self.val[p[1]] = wire  # owner captures; memory stays stale
+            elif suppliers:
+                val[supplier] = wire  # owner captures; memory stale
             else:
                 self.mem[word] = wire
         # op == 0: address-only, no data moves.
 
-        st = self.st
-        for u in snoopers:  # finalize, attach order
-            p = pend_row[u]
-            if p is not None and p[0] == txn_serial:
-                pend_row[u] = None
-                st[p[1]] = p[2][0] if agg_ch else p[2][1]
+        for v, i, rec in held:  # finalize, attach order
+            pend_row[v] = None
+            st[i] = rec[0] if agg_ch else rec[1]
         self.bus_txns[r] += 1
         return value, agg_ch
 
     # -- local actions (CacheController) -------------------------------
-    def _run_local_action(self, r, u, la, ev, rec, new_value):
-        found = self._lookup(r, u, la)
-        idx = found[2] if found else None
+    def _run_local_action(self, r, u, la, ev, rec, new_value, idx):
+        """Run ``rec`` for event ``ev`` on line ``la``, which the caller
+        found at slot ``idx`` (-1: not cached)."""
         ns_ch, ns_nch, ca, im, bc, op = rec
         if op == 3:
             return self._read_then_write(r, u, la, rec, new_value)
         if op == 0 and not ca and not im:  # silent
-            if idx is None:
+            if idx < 0:
                 if ns_nch < _INVALID:
                     raise _RowCrash("AssertionError")
                 return new_value if new_value is not None else 0
@@ -559,7 +555,7 @@ class _Kernel:
             if ev == 1:
                 wire = new_value
             else:
-                if idx is None:  # PASS/FLUSH push needs a cached line
+                if idx < 0:  # PASS/FLUSH push needs a cached line
                     raise _RowCrash("AssertionError")
                 wire = self.val[idx]
         value, agg_ch = self._execute(r, u, la, ca, im, bc, op, wire)
@@ -571,14 +567,14 @@ class _Kernel:
                 raise _RowCrash("AssertionError")
             token = value
         else:
-            token = self.val[idx] if idx is not None else 0
+            token = self.val[idx] if idx >= 0 else 0
         if resolved < _INVALID:
-            if idx is None:
+            if idx < 0:
                 self._install(r, u, la, resolved, token)
             else:
                 self.st[idx] = resolved
                 self.val[idx] = token
-        elif idx is not None:
+        elif idx >= 0:
             self.st[idx] = _INVALID
         return token
 
@@ -590,86 +586,98 @@ class _Kernel:
             raise _RowCrash("AssertionError")
         if landed < _INVALID:
             self._install(r, u, la, landed, value)
-        wrec = self.tables[u].local[landed * 4 + 1]
+        wrec = self.local_cells[u][landed * 4 + 1]
         if wrec is None:
             raise _Illegal()  # propagates: the read's effects persist
         self.tr[r] += 1
         if wrec[5] == 3:
             raise _RowCrash("AssertionError")  # Read>Write may not chain
-        return self._run_local_action(r, u, la, 1, wrec, new_value)
+        return self._run_local_action(
+            r, u, la, 1, wrec, new_value, self._lookup(r, u, la)
+        )
 
     def _install(self, r, u, la, state_code, value):
-        row_s, row_w = self.S_r[r], self.W_r[r]
-        tag, set_index = divmod(la, row_s)
-        base = self._base(r, u, set_index)
+        row_s = self.S_r[r]
+        set_index = la % row_s
+        base = ((r * self.U + u) * self.S + set_index) * self.W
+        end = base + self.W_r[r]
         st, rk = self.st, self.rk
-        way = -1
-        for w in range(row_w):  # first invalid way wins (pads excluded)
-            if st[base + w] == _INVALID:
-                way = w
+        i = -1
+        for j in range(base, end):  # first invalid way wins (pads excluded)
+            if st[j] == _INVALID:
+                i = j
                 break
-        if way < 0:
+        if i < 0:
             best = -1
-            for w in range(row_w):  # else the LRU victim (max rank)
-                if rk[base + w] > best:
-                    best = rk[base + w]
-                    way = w
-            victim_la = int(self.tg[base + way]) * row_s + set_index
-            self._evict(r, u, base + way, victim_la)
-        i = base + way
-        self.tg[i] = tag
-        self.st[i] = state_code
+            for j in range(base, end):  # else the LRU victim (max rank)
+                if rk[j] > best:
+                    best = rk[j]
+                    i = j
+            victim_la = int(self.tg[i]) * row_s + set_index
+            self._evict(r, u, i, victim_la, self._lookup(r, u, victim_la))
+        self.tg[i] = la // row_s
+        st[i] = state_code
         self.val[i] = value
-        self._touch(r, u, set_index, way)
+        self._touch(i)
 
-    def _evict(self, r, u, idx, victim_la):
-        rec = self.tables[u].local[self.st[idx] * 4 + 3]  # FLUSH
+    def _install_one_slot(self, r, u, la, state_code, value):
+        """:meth:`_install` for one-set, one-way caches: slot ``u``, whose
+        rank stays 0."""
+        if self.st[u] != _INVALID:
+            self._evict(r, u, u, int(self.tg[u]), u)
+        self.tg[u] = la
+        self.st[u] = state_code
+        self.val[u] = value
+
+    def _evict(self, r, u, i, la, idx):
+        """Flush line ``la``: slot ``i``'s state selects the FLUSH
+        action, which runs on ``idx``, the slot a lookup finds ``la``
+        at."""
+        rec = self.local_cells[u][self.st[i] * 4 + 3]
         if rec is None:
             raise _Illegal()  # propagates out of the whole event
         self.tr[r] += 1
-        self._run_local_action(r, u, victim_la, 3, rec, None)
+        self._run_local_action(r, u, la, 3, rec, None, idx)
 
     # -- processor port -------------------------------------------------
     def _proc_read(self, r, u, la):
-        found = self._lookup(r, u, la)
-        if found is not None:
-            set_index, way, i = found
-            rec = self.tables[u].local[self.st[i] * 4]
+        i = self._lookup(r, u, la)
+        if i >= 0:
+            rec = self.local_cells[u][self.st[i] * 4]
             if rec is None:
                 raise _Illegal()
             self.tr[r] += 1
             if rec[5] != 0 or rec[2] or rec[3]:  # hit must be silent
                 raise _RowCrash("AssertionError")
             self.st[i] = rec[1]
-            self._touch(r, u, set_index, way)
+            self._touch(i)
             return self.val[i]
-        rec = self.tables[u].local[_INVALID * 4]
+        rec = self.local_cells[u][_INVALID * 4]
         if rec is None:
             raise _Illegal()
         self.tr[r] += 1
-        return self._run_local_action(r, u, la, 0, rec, None)
+        return self._run_local_action(r, u, la, 0, rec, None, -1)
 
     def _proc_write(self, r, u, la, token):
-        found = self._lookup(r, u, la)
-        if found is not None:
-            set_index, way, i = found
-            rec = self.tables[u].local[self.st[i] * 4 + 1]
+        i = self._lookup(r, u, la)
+        if i >= 0:
+            rec = self.local_cells[u][self.st[i] * 4 + 1]
             if rec is None:
                 raise _Illegal()
             self.tr[r] += 1
-            self._run_local_action(r, u, la, 1, rec, token)
-            # The object engine touches the lookup-time coordinates even
-            # if the action moved the line; replicated as-is.
-            self._touch(r, u, set_index, way)
+            self._run_local_action(r, u, la, 1, rec, token, i)
+            # The object engine touches the lookup-time slot even if the
+            # action moved the line; replicated as-is.
+            self._touch(i)
             return
-        rec = self.tables[u].local[_INVALID * 4 + 1]
+        rec = self.local_cells[u][_INVALID * 4 + 1]
         if rec is None:
             raise _Illegal()
         self.tr[r] += 1
-        self._run_local_action(r, u, la, 1, rec, token)
+        self._run_local_action(r, u, la, 1, rec, token, -1)
 
     def _nc_read(self, r, u, la):
-        rec = self.tables[u].local[_INVALID * 4]
+        rec = self.local_cells[u][_INVALID * 4]
         if rec is None:
             raise _Illegal()
         self.tr[r] += 1
@@ -681,27 +689,26 @@ class _Kernel:
         return value
 
     def _nc_write(self, r, u, la, token):
-        rec = self.tables[u].local[_INVALID * 4 + 1]
+        rec = self.local_cells[u][_INVALID * 4 + 1]
         if rec is None:
             raise _Illegal()
         self.tr[r] += 1
         self._execute(r, u, la, rec[2], rec[3], rec[4], 2, token)
 
     def _flush_line(self, r, u, la):
-        found = self._lookup(r, u, la)
-        if found is None:
-            return
-        self._evict(r, u, found[2], la)
+        i = self._lookup(r, u, la)
+        if i >= 0:
+            self._evict(r, u, i, la, i)
 
     def _clean_line(self, r, u, la):
-        found = self._lookup(r, u, la)
-        if found is None:
+        i = self._lookup(r, u, la)
+        if i < 0:
             return
-        rec = self.tables[u].local[self.st[found[2]] * 4 + 2]  # PASS
+        rec = self.local_cells[u][self.st[i] * 4 + 2]  # PASS
         if rec is None:
             return  # clean states have no PASS entry: caught internally
         self.tr[r] += 1
-        self._run_local_action(r, u, la, 2, rec, None)
+        self._run_local_action(r, u, la, 2, rec, None, i)
 
     # -- one scheduled event --------------------------------------------
     def run_event(self, r, unit, kind, la):

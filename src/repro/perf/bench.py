@@ -91,6 +91,20 @@ EXPLORER_MIXES = (
     ("moesi x2 / 2 lines", ("moesi", "moesi"), 2),
 )
 
+#: Compiled-search mixes timed by the ``compiled`` section: (label,
+#: specs, lines).  Quick mode runs the first, which the
+#: ``compiled_identical`` check also runs on the object Explorer.
+COMPILED_MIXES = (
+    ("full-class x3", ("full-class",) * 3, 1),
+    ("moesi x4 / 2 lines", ("moesi",) * 4, 2),
+)
+COMPILED_REPEATS = 5
+
+#: The scalar-kernel yardstick of the batch section: one row of four
+#: ``moesi`` units, this many events, timed this many paired rounds.
+YARDSTICK_EVENTS = 1000
+YARDSTICK_ROUNDS = 15
+
 
 #: Iterations of the calibration kernel (fixed, so ops/sec is comparable
 #: across reports).
@@ -157,6 +171,49 @@ def _bench_explorer(quick: bool) -> tuple[list[dict], float]:
             }
         )
     return rows, round(_CALIBRATION_N / cal_seconds, 1)
+
+
+def _bench_compiled(quick: bool) -> dict:
+    """Time the compiled search (:mod:`repro.verify.compiled`, what
+    ``explore()`` runs) on :data:`COMPILED_MIXES`, p50 of
+    :data:`COMPILED_REPEATS` searches each; ``compiled_identical`` says
+    whether the first mix's states, transitions and violation strings
+    equal the object Explorer's."""
+    from repro.verify.compiled import CompiledExplorer
+    from repro.verify.explorer import Explorer
+
+    def outcome(result) -> tuple:
+        return (
+            result.states_explored,
+            result.transitions_taken,
+            [str(v) for v in result.violations],
+        )
+
+    rows, results = [], []
+    for label, specs, lines in COMPILED_MIXES[:1] if quick else COMPILED_MIXES:
+        samples = []
+        for _ in range(COMPILED_REPEATS):
+            compiled = CompiledExplorer.lower(
+                Explorer(list(specs), lines=lines, label=label)
+            )
+            start = time.perf_counter()
+            result = compiled.run()
+            samples.append(time.perf_counter() - start)
+        results.append(result)
+        rows.append(
+            {
+                "mix": label,
+                "states": result.states_explored,
+                "transitions": result.transitions_taken,
+                "p50_ms": round(_p50_p99(sorted(samples))[0] * 1e3, 2),
+            }
+        )
+    label, specs, lines = COMPILED_MIXES[0]
+    expected = Explorer(list(specs), lines=lines, label=label).run()
+    return {
+        "rows": rows,
+        "compiled_identical": outcome(results[0]) == outcome(expected),
+    }
 
 
 def _speedup(
@@ -333,6 +390,7 @@ def _bench_batch(quick: bool) -> dict:
         available_backends,
         default_backend,
         make_synthetic_population,
+        replay_row,
         run_population,
         verify_rows,
     )
@@ -369,6 +427,23 @@ def _bench_batch(quick: bool) -> dict:
             # to the scalar interpreter (1.0 by definition for python).
             "scalar_residual": round(result.scalar_residual, 4),
         }
+    # The scalar-kernel yardstick: the python kernel against the
+    # unchecked object engine on one row, legs alternated per round.
+    row = make_synthetic_population(
+        rows=1, units=("moesi",) * 4, events_per_row=YARDSTICK_EVENTS, seed=0
+    )
+    legs = {"python": [], "object": []}
+    for _ in range(YARDSTICK_ROUNDS):
+        for leg, run in (
+            ("python", lambda: run_population(row, backend="python")),
+            ("object", lambda: replay_row(row, 0)),
+        ):
+            start = time.perf_counter()
+            run()
+            legs[leg].append(time.perf_counter() - start)
+    python_ms, object_ms = (
+        _p50_p99(sorted(samples))[0] * 1e3 for samples in legs.values()
+    )
     return {
         "rows": rows,
         "events_per_row": events_per_row,
@@ -377,6 +452,13 @@ def _bench_batch(quick: bool) -> dict:
         "backends": backends,
         "verified_rows": len(sample),
         "verified_ok": verified_ok,
+        "scalar_vs_object": {
+            "units": len(row.units),
+            "events": YARDSTICK_EVENTS,
+            "python_ms": round(python_ms, 3),
+            "object_ms": round(object_ms, 3),
+            "speedup": round(object_ms / python_ms, 2),
+        },
     }
 
 
@@ -681,14 +763,37 @@ def _explorer_summary(rows: list, report: dict) -> str:
     )
 
 
+def _compiled_ms(label: str) -> Callable[[dict], float]:
+    def read(section: dict) -> float:
+        return {row["mix"]: row for row in section["rows"]}[label]["p50_ms"]
+    return read
+
+
+def _compiled_summary(compiled: dict, report: dict) -> str:
+    from repro.analysis.report import format_rows
+
+    return format_rows(
+        compiled["rows"],
+        f"Compiled search (p50 of {COMPILED_REPEATS}, reported, not gated; "
+        f"{COMPILED_MIXES[0][0]} identical to the object Explorer: "
+        f"{compiled['compiled_identical']})",
+    )
+
+
 def _batch_summary(batch: dict, report: dict) -> str:
     from repro.analysis.report import format_rows
 
+    yardstick = batch["scalar_vs_object"]
     return format_rows(
         [{"backend": name, **leg} for name, leg in batch["backends"].items()],
         f"Batch kernel ({batch['rows']} rows x {batch['events_per_row']} "
         f"events/row, oracle check on {batch['verified_rows']} rows: "
         f"{'ok' if batch['verified_ok'] else 'MISMATCH'})",
+    ) + (
+        f"\nscalar kernel vs object engine (1 row, {yardstick['units']} "
+        f"moesi units, {yardstick['events']} events, unchecked): python "
+        f"{yardstick['python_ms']} ms, object {yardstick['object_ms']} ms, "
+        f"{yardstick['speedup']}x (reported, not gated)"
     )
 
 
@@ -702,6 +807,17 @@ SECTIONS = (
             Gate(f"{label} transitions_per_sec vs baseline", ">=",
                  MIN_TPS_RATIO, read=_mix_tps(label), ratio=True, host=True)
             for label, _, _ in EXPLORER_MIXES
+        ),
+    ),
+    Section(
+        "compiled", lambda quick, workers: _bench_compiled(quick),
+        _compiled_summary,
+        (
+            Gate("compiled_identical", "==", True),
+            *(
+                Gate(f"{label} p50_ms", read=_compiled_ms(label))
+                for label, _, _ in COMPILED_MIXES
+            ),
         ),
     ),
     Section("matrix", _bench_matrix, (
@@ -745,6 +861,8 @@ SECTIONS = (
              reference=lambda baseline: _mix_tps(EXPLORER_MIXES[0][0])(
                  baseline["explorer"]),
              ratio=True, host=True),
+        Gate("scalar_vs_object speedup",
+             read=lambda batch: batch["scalar_vs_object"]["speedup"]),
     )),
     Section("serve", lambda quick, workers: _bench_serve(quick), (
         "serve tier ({references} refs): miss {miss_s:.4f}s, hit p50 "

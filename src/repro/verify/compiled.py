@@ -6,7 +6,8 @@ This module runs the *same* breadth-first search -- same step menu, same
 choice-script tree, same canonical signatures, same frontier order --
 over flat int tuples, and steps them through the batch kernel's scalar
 interpreter (:class:`repro.perf.batch._Kernel`) on a one-row population
-of one-set, one-way caches.  That interpreter is the one the batch
+of one-set, one-way caches, a shape for which the kernel puts unit
+``u``'s line in slot ``u``.  That interpreter is the one the batch
 kernel's byte-identity suite already pins to the object engine.
 
 State layout, for ``U`` units and ``L`` lines::
@@ -188,7 +189,9 @@ class CompiledExplorer:
         )
         # A one-row population is stepped one event at a time: plain
         # lists index faster than ``array('q')`` and load by slice.
-        for name in ("st", "tg", "val", "mem", "lastv", "vctr", "serial"):
+        for name in (
+            "st", "tg", "val", "mem", "lastv", "vctr", "serial", "tr",
+        ):
             setattr(kernel, name, list(getattr(kernel, name)))
         self.kernel = kernel
         self.n_units = n_units

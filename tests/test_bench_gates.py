@@ -13,6 +13,7 @@ import copy
 import pytest
 
 from repro.perf.bench import (
+    COMPILED_MIXES,
     EXPLORER_MIXES,
     MAX_DISABLED_OVERHEAD_PCT,
     MAX_SERVE_HIT_S,
@@ -274,6 +275,60 @@ class TestExperimentSection:
         assert _row(older, "experiment", "p50_ms") is None
 
 
+class TestCompiledSection:
+    def test_quick_mix_matches_the_object_explorer(self):
+        from repro.perf.bench import _bench_compiled
+
+        compiled = _bench_compiled(quick=True)
+        assert compiled["compiled_identical"] is True
+        (row,) = compiled["rows"]
+        assert row["mix"] == COMPILED_MIXES[0][0]
+        assert (row["states"], row["transitions"]) == (41, 6126)
+        assert row["p50_ms"] > 0
+
+    def test_count_mismatch_fails(self):
+        current = _report()
+        current["compiled"] = {"compiled_identical": False, "rows": []}
+        report = regression_report(current, BASELINE)
+        assert report["failures"] == [
+            "compiled: compiled_identical False is not == True"
+        ]
+
+    def test_committed_baseline_evaluates_new_rows_unjudged(self):
+        """The committed baseline predates the compiled rows and the
+        batch yardstick: a report carrying them still evaluates against
+        it, every new timing row reported with no baseline and no
+        verdict."""
+        from pathlib import Path
+
+        from repro.perf.bench import BENCH_FILENAME, load_baseline
+
+        root = Path(__file__).resolve().parent.parent
+        baseline = load_baseline(str(root / BENCH_FILENAME))
+        current = copy.deepcopy(baseline)
+        current["compiled"] = {
+            "compiled_identical": True,
+            "rows": [
+                {"mix": label, "states": 1, "transitions": 1, "p50_ms": 9.0}
+                for label, _, _ in COMPILED_MIXES
+            ],
+        }
+        current["batch"]["scalar_vs_object"] = {"speedup": 1.5}
+        report = regression_report(current, baseline)
+        # The new rows add no failure to those the baseline carries
+        # against itself (its own obs leg missed the budget).
+        assert report["failures"] == regression_report(
+            baseline, baseline
+        )["failures"]
+        new_rows = [
+            _row(report, "compiled", f"{label} p50_ms")
+            for label, _, _ in COMPILED_MIXES
+        ] + [_row(report, "batch", "scalar_vs_object speedup")]
+        for row in new_rows:
+            assert row["baseline"] is None and row["ok"] is None, row
+        assert _row(report, "compiled", "compiled_identical")["ok"] is True
+
+
 def _healthy():
     """A synthetic report every gate of the table passes, also when
     judged against itself (so the host factor is 1)."""
@@ -287,6 +342,7 @@ def _healthy():
     report["des"] = {"rows_identical": True, "speedup": 1.0}
     report["serve_batch"] = {"backend": "numpy", "identical": True,
                              "speedup": 20.0}
+    report["compiled"] = {"compiled_identical": True, "rows": []}
     return report
 
 

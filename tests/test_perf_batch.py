@@ -163,6 +163,31 @@ class TestBackends:
             assert result.transitions == results[0].transitions
             assert result.events == results[0].events
 
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_multi_way_population_with_flushes(self, backend):
+        """Three-way sets that overflow (14 lines in 6 slots), four
+        units and frequent flush/pass traffic: evictions pick LRU
+        victims among touched ways, and every snoop finds holders in
+        several ways.  The counts are the ones the kernel produced
+        before its slot lookup returned flat indices."""
+        pop = make_synthetic_population(
+            rows=6,
+            units=("moesi", "dragon", "berkeley", "write-through"),
+            geometry=BatchGeometry(num_sets=2, associativity=3, lines=14),
+            events_per_row=250,
+            seed=11,
+            p_write=0.4,
+            p_flush=0.08,
+            p_pass=0.08,
+        )
+        result = run_population(pop, backend=backend)
+        assert verify_rows(pop, result) == []
+        assert result.transitions == 2996
+        assert result.row_transitions == (505, 497, 522, 479, 507, 486)
+        assert tuple(
+            s["bus_transactions"] for s in result.snapshots
+        ) == (217, 203, 211, 204, 211, 201)
+
 
 #: Deliberately spread in every dimension: sets, ways, line size, and
 #: address-space lines all differ between rows, so padded slots, rank

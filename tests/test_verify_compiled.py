@@ -35,6 +35,11 @@ TWO_LINES = [
     ("moesi-scripted", "moesi-scripted"),
     ("moesi", "moesi"),
     ("illinois", "moesi"),
+    # Three caches of one way for two lines: a fill evicts the other
+    # line, so lookup, install and eviction all run on every branch.
+    ("illinois", "illinois", "illinois"),
+    ("moesi-scripted", "berkeley", "write-through"),
+    ("full-class", "berkeley", "non-caching"),
 ]
 
 
